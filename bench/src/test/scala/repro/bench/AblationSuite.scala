@@ -28,7 +28,7 @@ class AblationSuite extends BenchBase {
   test("Fig 9a (table): dynamic tiling on/off (Q2, Q7)") {
     val rows = Seq(2, 7).map { id =>
       val on = runQuery(id, () => Engines.xorbits(spark, limit))
-      val off = runQuery(id, () => Engines.noDynamic(spark, limit))
+      val off = runQuery(id, () => Engines.static(spark, limit))
       Seq(s"Q$id", fmt(on), fmt(off), fmt(off / on),
         if (id == 2) "7.08x" else "10.59x")
     }

@@ -21,7 +21,8 @@ object Engines {
 
   /** Static planner (Dask/Modin-like): partitioning fixed at graph
     * construction from initial source sizes; always hash-shuffle with a
-    * fixed reducer count; no broadcast detection; iloc unsupported.
+    * fixed reducer count; no broadcast detection; iloc unsupported. Also
+    * the "dy off" ablation arm (dynamic tiling disabled, fusion kept).
     */
   def static(spark: SparkSession, chunkLimit: Long = 8L << 20, reducers: Int = 8): Engine =
     new Engine(spark, EngineConfig(chunkSizeLimit = chunkLimit,
@@ -31,10 +32,6 @@ object Engines {
   /** Single-chunk engine (pandas-like): no partitioning at all. */
   def singleNode(spark: SparkSession): Engine =
     new Engine(spark, EngineConfig(chunkSizeLimit = Long.MaxValue / 4))
-
-  /** Ablation arm: dynamic tiling disabled, fusion kept. */
-  def noDynamic(spark: SparkSession, chunkLimit: Long = 8L << 20): Engine =
-    static(spark, chunkLimit)
 
   /** Ablation arm: graph-level fusion disabled. */
   def noGraphFusion(spark: SparkSession, chunkLimit: Long = 8L << 20): Engine =

@@ -42,6 +42,4 @@ object SchemaBytes {
 object Cols {
   /** Hidden global row id carried by ordered chunks (distributed index). */
   val RowId = "__rowid"
-  /** Shuffle bucket column used by multi-output bucketing tasks. */
-  val Bucket = "__bucket"
 }

@@ -54,41 +54,4 @@ object ChunkGraph {
     targets.foreach(visit)
     seen.toVector
   }
-
-  /** Topological order (inputs before consumers) of a task set; inputs
-    * outside the set are treated as satisfied.
-    */
-  def topoSort(tasks: Vector[ChunkTask]): Vector[ChunkTask] = {
-    val inSet = tasks.map(_.id).toSet
-    val indeg = scala.collection.mutable.Map[Long, Int]()
-    val succs = scala.collection.mutable.Map[Long, Vector[ChunkTask]]().withDefaultValue(Vector.empty)
-    tasks.foreach { t =>
-      val ins = t.inputs.filter(i => inSet.contains(i.id))
-      indeg(t.id) = ins.size
-      ins.foreach(i => succs(i.id) = succs(i.id) :+ t)
-    }
-    // Stable: seed queue in given order, FIFO.
-    val queue = scala.collection.mutable.Queue[ChunkTask](tasks.filter(t => indeg(t.id) == 0): _*)
-    val out = Vector.newBuilder[ChunkTask]
-    var n = 0
-    while (queue.nonEmpty) {
-      val t = queue.dequeue(); out += t; n += 1
-      succs(t.id).foreach { s =>
-        indeg(s.id) -= 1
-        if (indeg(s.id) == 0) queue.enqueue(s)
-      }
-    }
-    require(n == tasks.size, s"cycle detected in chunk graph ($n of ${tasks.size} ordered)")
-    out.result()
-  }
-
-  /** Successor map restricted to the given task set. */
-  def successors(tasks: Vector[ChunkTask]): Map[Long, Vector[ChunkTask]] = {
-    val inSet = tasks.map(_.id).toSet
-    val m = scala.collection.mutable.Map[Long, Vector[ChunkTask]]().withDefaultValue(Vector.empty)
-    tasks.foreach { t =>
-      t.inputs.foreach { i => if (inSet.contains(i.id)) m(i.id) = m(i.id) :+ t }
-    }
-    m.toMap.withDefaultValue(Vector.empty)
-  }
 }

@@ -27,10 +27,6 @@ final case class EngineConfig(
     treeReduceThreshold: Long = 8L << 20,
     /** Side-size threshold below which a merge side is broadcast. */
     broadcastThreshold: Long = 4L << 20,
-    /** Fan-in of one combine node (auto-merge also caps by bytes). */
-    combineFanIn: Int = 4,
-    /** Number of chunks executed eagerly to collect metadata (§IV-B). */
-    sampleChunks: Int = 2,
     /** Fixed reducer count used when dynamicTiling = false. */
     staticReducers: Int = 8,
     /** Simulated cluster topology: workers × bands (NUMA slots) per worker. */
@@ -38,8 +34,6 @@ final case class EngineConfig(
     bandsPerWorker: Int = 2,
     /** Memory-tier budget of the storage service before spilling to disk. */
     memoryBudget: Long = 1L << 30,
-    /** Record key-skew observations during sampling (profiling runs). */
-    measureSkew: Boolean = false,
 ) {
   def numBands: Int = workers * bandsPerWorker
 }

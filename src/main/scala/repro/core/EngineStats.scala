@@ -39,18 +39,8 @@ final class EngineStats {
   var broadcastMerges: Long = 0
   var shuffleMerges: Long = 0
   val traces: mutable.ArrayBuffer[SubtaskTrace] = mutable.ArrayBuffer.empty
-  /** Per-tileable-operator output totals (label → (rows, bytes)). */
-  val opOutputs: mutable.LinkedHashMap[String, (Long, Long)] = mutable.LinkedHashMap.empty
-  /** Max observed key share per shuffle operator label (profiling mode). */
-  val skewObs: mutable.LinkedHashMap[String, Double] = mutable.LinkedHashMap.empty
 
   def remoteBytes: Long = traces.map(_.remoteBytes).sum
-  def localBytes: Long = traces.map(t => t.inputBytes - t.remoteBytes).sum
-
-  def recordOpOutput(label: String, rows: Long, bytes: Long): Unit = {
-    val (r0, b0) = opOutputs.getOrElse(label, (0L, 0L))
-    opOutputs(label) = (r0 + rows, b0 + bytes)
-  }
 
   override def toString: String =
     s"EngineStats(switches=$tileExecSwitches, subtasks=$subtasksExecuted, " +

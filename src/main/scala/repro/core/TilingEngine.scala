@@ -9,7 +9,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import org.apache.spark.storage.{StorageLevel => SparkLevel}
 
-import repro.fusion.{Subtask, SubtaskGraph}
+import repro.fusion.{Dag, Subtask, SubtaskGraph}
 import repro.sched.Scheduler
 import repro.storage.StorageService
 
@@ -43,8 +43,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   private val tiledCache = new java.util.IdentityHashMap[Tileable, Vector[ChunkTask]]()
   private val materialized = mutable.Set[Long]()
   private val sourceCache = mutable.LinkedHashMap[String, (DataFrame, Long)]()
-  /** Tiling-order label → output tasks (for per-operator profiling). */
-  private val opChunks = mutable.LinkedHashMap[String, Vector[ChunkTask]]()
 
   // ---------------------------------------------------------------------
   // Task construction
@@ -93,7 +91,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     }
     val chunks = step.asInstanceOf[Tiled].chunks
     tiledCache.put(t, chunks)
-    opChunks(f"${opChunks.size}%03d:${t.op.name}") = chunks
     chunks
   }
 
@@ -172,7 +169,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       // limit per combine node until one chunk remains.
       while (level.size > 1) {
         depth += 1
-        val fanIn = if (config.combineStage) config.combineFanIn else level.size
+        val fanIn = if (config.combineStage) Engine.CombineFanIn else level.size
         level = level.grouped(fanIn).toVector.zipWithIndex.map { case (grp, r) =>
           if (grp.size == 1) grp.head
           else task(s"GroupbyAgg::combine$depth[$r]", Stage.Combine, (r, 0), grp, mergeAgg)
@@ -206,7 +203,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     } else {
       // Dynamic tiling: run the first few map chunks, read their actual
       // aggregated size from the meta service, then pick the reduce plan.
-      val sample = mapTasks.take(math.min(config.sampleChunks, mapTasks.size))
+      val sample = mapTasks.take(Engine.SampleChunks)
       NeedExec(sample, () => {
         val metas = sample.flatMap(metaOf)
         val avgBytes = if (metas.isEmpty) 0.0 else metas.map(_.bytes).sum.toDouble / metas.size
@@ -273,15 +270,14 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       // Static planning: always hash-shuffle, R from initial chunk counts.
       Tiled(shuffleMerge(math.min(config.staticReducers, math.max(2, math.max(left.size, right.size)))))
     } else {
-      val sample = left.take(config.sampleChunks) ++ right.take(config.sampleChunks)
+      val sample = left.take(Engine.SampleChunks) ++ right.take(Engine.SampleChunks)
       NeedExec(sample, () => {
         def estSide(side: Vector[ChunkTask]): Long = {
-          val ms = side.take(config.sampleChunks).flatMap(metaOf)
+          val ms = side.take(Engine.SampleChunks).flatMap(metaOf)
           if (ms.isEmpty) Long.MaxValue
           else (ms.map(_.bytes).sum.toDouble / ms.size * side.size).toLong
         }
         val el = estSide(left); val er = estSide(right)
-        if (config.measureSkew) recordMergeSkew(s"Merge(${on.mkString(",")})", left.take(config.sampleChunks), on)
         // Broadcasting the LEFT side is only sound for inner joins: for
         // left/leftsemi/leftanti the output must stay partitioned by the
         // left chunks (each right chunk would otherwise see a partial
@@ -296,19 +292,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
           Tiled(shuffleMerge(math.min(math.max(2, r), 64)))
         }
       })
-    }
-  }
-
-  /** Hot-key share observed on sampled merge inputs (profiling mode). */
-  private def recordMergeSkew(label: String, sample: Seq[ChunkTask], keys: Seq[String]): Unit = {
-    val dfs = sample.filter(isMaterialized).map(t => storage.get(keyOf(t), 0))
-    if (dfs.nonEmpty) {
-      val df = dfs.reduce(_ unionByName _)
-      val total = df.count().toDouble
-      if (total > 0) {
-        val hot = df.groupBy(keys.map(col): _*).count().agg(max("count")).head().getLong(0)
-        stats.skewObs(label) = hot / total
-      }
     }
   }
 
@@ -431,18 +414,16 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   def execute(targets: Seq[ChunkTask]): Unit = {
     val need = ChunkGraph.closure(targets, isMaterialized)
     if (need.isEmpty) return
-    val topo = ChunkGraph.topoSort(need)
-    val subtasks = SubtaskGraph.build(topo, config.graphFusion)
-    stats.tasksFusedAway += (topo.size - subtasks.size)
+    // Already in topological order of the subtask graph.
+    val subtasks = SubtaskGraph.build(need, config.graphFusion)
+    stats.tasksFusedAway += (need.size - subtasks.size)
 
-    val order = SubtaskGraph.topoOrder(subtasks)
-    val predMap = SubtaskGraph.preds(subtasks)
     val stById = subtasks.map(st => st.id -> st).toMap
     val owner: Map[Long, Long] = subtasks.flatMap(st => st.tasks.map(t => t.id -> st.id)).toMap
 
     val bands = scheduler.assign(
-      order.map(_.id),
-      id => predMap(id).isEmpty && stById(id).externalInputs.isEmpty,
+      subtasks.map(_.id),
+      id => stById(id).externalInputs.isEmpty,
       id => stById(id).externalInputs.map { t =>
         val bytes = metaOf(t).map(_.bytes).getOrElse(1L)
         owner.get(t.id) match {
@@ -453,16 +434,15 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     )
 
     val targetIds = targets.map(_.id).toSet
-    val succAll = ChunkGraph.successors(topo)
-    order.foreach(st => runSubtask(st, bands(st.id), targetIds, succAll))
-    recordOpOutputs()
+    val succAll = Dag.successors(need, (t: ChunkTask) => t.inputs)
+    subtasks.foreach(st => runSubtask(st, bands(st.id), targetIds, succAll))
   }
 
   private def runSubtask(
       st: Subtask,
       band: Int,
       targetIds: Set[Long],
-      succAll: Map[Long, Vector[ChunkTask]],
+      succAll: Map[ChunkTask, Vector[ChunkTask]],
   ): Unit = {
     val t0 = System.nanoTime()
     val inSt = st.taskIds
@@ -492,7 +472,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
           if (t.inputs.size == 1) {
             val in = t.inputs.head
             if (inSt.contains(in.id) && effPipe.contains(in.id) && !targetIds.contains(in.id) &&
-                succAll(in.id).size == 1) {
+                succAll(in).size == 1) {
               skip += in.id
               stats.narrowStepsFused += effPipe(in.id).steps.size
               pipe = effPipe(in.id) ++ p
@@ -531,7 +511,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       // Store exposed outputs immediately (targets, or chunks consumed
       // outside this subtask) so downstream internal consumers reuse the
       // materialized chunk instead of recomputing the plan.
-      val exposed = targetIds.contains(t.id) || succAll(t.id).exists(s => !inSt.contains(s.id))
+      val exposed = targetIds.contains(t.id) || succAll(t).exists(s => !inSt.contains(s.id))
       if (exposed && !isMaterialized(t)) {
         val meta = storage.put(keyOf(t), out, band)
         materialized += t.id
@@ -549,14 +529,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       st.id, st.tasks.map(_.label), band, inputBytes, outputBytes, remoteBytes,
       (System.nanoTime() - t0) / 1e6)
   }
-
-  private def recordOpOutputs(): Unit =
-    opChunks.foreach { case (label, chunks) =>
-      if (!stats.opOutputs.contains(label) && chunks.forall(isMaterialized)) {
-        val ms = chunks.flatMap(metaOf)
-        stats.recordOpOutput(label, ms.map(_.rows).sum, ms.map(_.bytes).sum)
-      }
-    }
 
   // ---------------------------------------------------------------------
   // Collection (deferred evaluation endpoint)
@@ -590,8 +562,16 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     sourceCache.clear()
     tiledCache.clear()
     materialized.clear()
-    opChunks.clear()
   }
+}
+
+object Engine {
+  /** Chunks per input executed eagerly to collect metadata before a
+    * reduce or merge plan is chosen (§IV-B).
+    */
+  val SampleChunks = 2
+  /** Fan-in of one combine node in tree reduce (§IV-C auto merge). */
+  val CombineFanIn = 4
 }
 
 /** Row-id regeneration for order-producing operators (sort). */

@@ -17,13 +17,15 @@ package repro.fusion
   */
 object Coloring {
 
-  /** Color each node; returns node → color id. `nodes` must be unique. */
+  /** Color each node; returns node → color id. `nodes` must be unique
+    * and topologically ordered (see `Dag.topoSort`); it is walked as
+    * given, not sorted.
+    */
   def color[N](
       nodes: Vector[N],
       preds: N => Seq[N],
       succs: N => Seq[N],
   ): Map[N, Int] = {
-    val topo = topoSort(nodes, preds)
     var next = 0
     def fresh(): Int = { next += 1; next }
 
@@ -35,7 +37,7 @@ object Coloring {
 
     def forward(): Map[N, Int] = {
       val out = scala.collection.mutable.LinkedHashMap[N, Int]()
-      topo.foreach { n =>
+      nodes.foreach { n =>
         val c = explicit.get(n) match {
           case Some(e) => e
           case None =>
@@ -54,7 +56,7 @@ object Coloring {
 
     var colors = forward() // steps 1 + 2
     // Step 3: separate partially-shared successors.
-    topo.foreach { n =>
+    nodes.foreach { n =>
       val ss = succs(n)
       val same = ss.filter(s => colors(s) == colors(n))
       val diff = ss.exists(s => colors(s) != colors(n))
@@ -67,20 +69,24 @@ object Coloring {
   }
 
   /** Group nodes into fused subtasks: maximal weakly-connected components
-    * of equal color. Returns groups in topological order of their first
-    * member, each group internally topo-ordered.
+    * of equal color. `nodes` must be topologically ordered. Returns groups
+    * in order of their first member in `nodes`, each group keeping its
+    * members in `nodes` order. Every color has one origin node (a root,
+    * mixed-predecessor or separated node) and every other node of that
+    * color has all its predecessors inside its group, so a group's
+    * external inputs all precede its first member: the group order is a
+    * topological order of the group graph.
     */
   def fuse[N](
       nodes: Vector[N],
       preds: N => Seq[N],
       succs: N => Seq[N],
   ): Vector[Vector[N]] = {
-    val topo = topoSort(nodes, preds)
     val colors = color(nodes, preds, succs)
     val group = scala.collection.mutable.Map[N, Int]()
     var nGroups = 0
     // Union along edges whose endpoints share a color, walking topo order.
-    topo.foreach { n =>
+    nodes.foreach { n =>
       val samePreds = preds(n).filter(p => colors(p) == colors(n) && group.contains(p))
       if (samePreds.nonEmpty) group(n) = group(samePreds.head)
       else { group(n) = nGroups; nGroups += 1 }
@@ -94,30 +100,7 @@ object Coloring {
         group(n) = target
       }
     }
-    topo
-      .groupBy(group)
-      .toVector
-      .sortBy { case (_, ns) => topo.indexOf(ns.head) }
-      .map(_._2)
-  }
-
-  private def topoSort[N](nodes: Vector[N], preds: N => Seq[N]): Vector[N] = {
-    val inSet = nodes.toSet
-    val indeg = scala.collection.mutable.Map[N, Int]()
-    val succs = scala.collection.mutable.Map[N, Vector[N]]().withDefaultValue(Vector.empty)
-    nodes.foreach { n =>
-      val ps = preds(n).filter(inSet.contains)
-      indeg(n) = ps.size
-      ps.foreach(p => succs(p) = succs(p) :+ n)
-    }
-    val queue = scala.collection.mutable.Queue[N](nodes.filter(indeg(_) == 0): _*)
-    val out = Vector.newBuilder[N]
-    var seen = 0
-    while (queue.nonEmpty) {
-      val n = queue.dequeue(); out += n; seen += 1
-      succs(n).foreach { s => indeg(s) -= 1; if (indeg(s) == 0) queue.enqueue(s) }
-    }
-    require(seen == nodes.size, "cycle in fusion graph")
-    out.result()
+    val members = nodes.groupBy(group)
+    nodes.map(group).distinct.map(members)
   }
 }

@@ -1,6 +1,6 @@
 package repro.fusion
 
-import repro.core.{ChunkGraph, ChunkTask}
+import repro.core.ChunkTask
 
 /** A subtask: a fused subgraph of chunk tasks scheduled as one unit on
   * one band (paper §III-C "Subtask Graph").
@@ -22,19 +22,17 @@ object SubtaskGraph {
 
   /** Fuse `tasks` (a closed subgraph: inputs either inside or already
     * materialized) into subtasks via the coloring algorithm. When
-    * `graphFusion` is false every task becomes its own subtask.
+    * `graphFusion` is false every task becomes its own subtask. This is
+    * the only place the chunk graph is sorted: the result is in
+    * topological order of the subtask graph, ready to run as returned.
     */
   def build(tasks: Vector[ChunkTask], graphFusion: Boolean): Vector[Subtask] = {
-    val topo = ChunkGraph.topoSort(tasks)
+    val topo = Dag.topoSort(tasks, (t: ChunkTask) => t.inputs)
     if (!graphFusion) return topo.map(t => Subtask(t.id, Vector(t)))
-    val inSet = topo.map(_.id).toSet
-    val succ = ChunkGraph.successors(topo)
-    val groups = Coloring.fuse[ChunkTask](
-      topo,
-      t => t.inputs.filter(i => inSet.contains(i.id)),
-      t => succ(t.id),
-    )
-    groups.map(g => Subtask(g.head.id, ChunkGraph.topoSort(g)))
+    val inSet = topo.toSet
+    val preds = (t: ChunkTask) => t.inputs.filter(inSet.contains)
+    val succ = Dag.successors(topo, preds)
+    Coloring.fuse(topo, preds, succ).map(g => Subtask(g.head.id, g))
   }
 
   /** Subtask-level predecessor map (by subtask id), restricted to the
@@ -51,22 +49,7 @@ object SubtaskGraph {
 
   /** Topological order of subtasks (inputs first). */
   def topoOrder(subtasks: Vector[Subtask]): Vector[Subtask] = {
-    val p = preds(subtasks)
     val byId = subtasks.map(st => st.id -> st).toMap
-    val indeg = scala.collection.mutable.Map[Long, Int]()
-    val succ = scala.collection.mutable.Map[Long, Vector[Long]]().withDefaultValue(Vector.empty)
-    subtasks.foreach { st =>
-      indeg(st.id) = p(st.id).size
-      p(st.id).foreach(q => succ(q) = succ(q) :+ st.id)
-    }
-    val queue = scala.collection.mutable.Queue[Long](subtasks.map(_.id).filter(indeg(_) == 0): _*)
-    val out = Vector.newBuilder[Subtask]
-    while (queue.nonEmpty) {
-      val id = queue.dequeue(); out += byId(id)
-      succ(id).foreach { s => indeg(s) -= 1; if (indeg(s) == 0) queue.enqueue(s) }
-    }
-    val res = out.result()
-    require(res.size == subtasks.size, "cycle in subtask graph")
-    res
+    Dag.topoSort(subtasks.map(_.id), preds(subtasks)).map(byId)
   }
 }

@@ -342,15 +342,6 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
-  test("op outputs are recorded in the meta service for profiling") {
-    withEngine(cfg()) { e =>
-      XFrame.source(e, "t", keys(20000)).groupby("k").agg(SumAgg("v", "sv")).toDF()
-      assert(e.stats.opOutputs.nonEmpty)
-      val aggOut = e.stats.opOutputs.find(_._1.contains("GroupbyAgg")).map(_._2)
-      assert(aggOut.exists(_._1 == 40), s"40 groups expected: ${e.stats.opOutputs}")
-    }
-  }
-
   test("reset clears storage and allows reuse of the engine's session") {
     val e = new Engine(spark, cfg())
     XFrame.source(e, "t", keys(1000)).toDF().count()

@@ -128,6 +128,19 @@ class ColoringSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  test("property: groups come in topological order, each keeping input order") {
+    val prop = Prop.forAll(randomDagGen) { g =>
+      val (nodes, p, s) = graph(g)
+      val groups = Coloring.fuse(nodes, p, s)
+      val groupOf = groups.zipWithIndex.flatMap { case (grp, i) => grp.map(_ -> i) }.toMap
+      val pos = nodes.zipWithIndex.toMap
+      nodes.forall(n => p(n).forall(m => groupOf(m) <= groupOf(n))) &&
+      groups.forall(grp => grp.map(pos) == grp.map(pos).sorted)
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), prop)
+    assert(res.passed, res.status.toString)
+  }
+
   test("property: groups are weakly connected") {
     val prop = Prop.forAll(randomDagGen) { g =>
       val (nodes, p, s) = graph(g)
