@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.concurrent.atomic.AtomicLong
+import scala.annotation.tailrec
 import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -30,8 +31,20 @@ object TileResult {
   * fusion, band scheduling, and an intermediate storage service — layered
   * over a single SparkSession whose Catalyst engine plays the role of the
   * single-node backend (pandas in the paper).
+  *
+  * Every chunk is exactly one Spark partition. A chunk is the unit one
+  * single-node call processes on one band (§III-C, §V-B); parallelism
+  * comes from running many chunks, not from splitting one. Spark's
+  * `SinglePartition` satisfies the distribution every aggregate, window
+  * and sort requires, so over one-partition inputs Spark plans no shuffle
+  * inside a chunk, whatever `spark.sql.shuffle.partitions` says. Source
+  * slices, `Engine.concat`, `StorageService.put` and disk-tier reads
+  * coalesce (without a shuffle) to one partition: the places where more
+  * partitions, or an unknown partitioning, can appear. Joins take the same
+  * care (see `tileMerge`).
   */
 final class Engine(val spark: SparkSession, val config: EngineConfig) {
+  import Engine.concat
   import TileResult._
   import TileableOp._
 
@@ -76,22 +89,23 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   def tile(t: Tileable): Vector[ChunkTask] = {
     val cached = tiledCache.get(t)
     if (cached != null) return cached
-    val inputChunks = t.inputs.map(tile)
-    var step = tileOp(t.op, inputChunks)
-    var guard = 0
-    while (step.isInstanceOf[NeedExec] && guard < 10000) {
-      guard += 1
-      val ne = step.asInstanceOf[NeedExec]
-      val pending = ne.targets.filterNot(isMaterialized)
+    val chunks = resolve(tileOp(t.op, t.inputs.map(tile)))
+    tiledCache.put(t, chunks)
+    chunks
+  }
+
+  /** Run a tiling step to completion: execute each `NeedExec`'s pending
+    * targets, then resume, until the operator returns its chunks.
+    */
+  @tailrec private def resolve(step: TileResult): Vector[ChunkTask] = step match {
+    case Tiled(chunks) => chunks
+    case NeedExec(targets, resume) =>
+      val pending = targets.filterNot(isMaterialized)
       if (pending.nonEmpty) {
         stats.tileExecSwitches += 1
         execute(pending)
       }
-      step = ne.resume()
-    }
-    val chunks = step.asInstanceOf[Tiled].chunks
-    tiledCache.put(t, chunks)
-    chunks
+      resolve(resume())
   }
 
   private def tileOp(op: TileableOp, ins: Vector[Vector[ChunkTask]]): TileResult = op match {
@@ -120,7 +134,8 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       val schema = s.df.schema.add(Cols.RowId, LongType, nullable = false)
       val rdd = s.df.rdd.zipWithIndex().map { case (r, i) => Row.fromSeq(r.toSeq :+ i) }
       val ind = spark.createDataFrame(rdd, schema).persist(SparkLevel.MEMORY_AND_DISK)
-      (ind, ind.count())
+      // Counted as `StorageService.put` counts: one job, no exchange.
+      (ind, ind.queryExecution.toRdd.count())
     })
     val bytes = rows * SchemaBytes.rowWidth(s.df.schema)
     val nChunks = math.max(1L, (bytes + config.chunkSizeLimit - 1) / config.chunkSizeLimit).toInt
@@ -129,7 +144,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       val lo = r * per; val hi = math.min(rows, lo + per)
       if (lo >= hi && r > 0) None
       else Some(task(s"Read(${s.sourceName})[$r]", Stage.Source, (r, 0), Vector.empty,
-        _ => indexed.filter(col(Cols.RowId) >= lo && col(Cols.RowId) < hi)))
+        _ => indexed.filter(col(Cols.RowId) >= lo && col(Cols.RowId) < hi).coalesce(1)))
     }
     Tiled(chunks)
   }
@@ -158,7 +173,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     def finalize(df: DataFrame): DataFrame = df.select(AggSpec.finalExprs(keys, g.aggs): _*)
     def mergeAgg(dfs: Seq[DataFrame]): DataFrame = {
       val exprs = AggSpec.mergeExprs(g.aggs)
-      dfs.reduce(_ unionByName _).groupBy(keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
+      concat(dfs).groupBy(keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
     }
 
     def treeReduce(): Vector[ChunkTask] = {
@@ -231,14 +246,20 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       lr.join(rr, on, m.how)
     }
 
+    // The join hints `broadcast` on the small side: a broadcast hash join
+    // puts no distribution on the big chunk. A sort-merge join would need
+    // both inputs clustered, and Spark shuffles a one-partition input whose
+    // estimated size is large, as that of a join fused into the same
+    // subtask is (the product of its inputs' sizes).
     def broadcastMerge(big: Vector[ChunkTask], small: Vector[ChunkTask], smallLeft: Boolean): Vector[ChunkTask] = {
       stats.broadcastMerges += 1
       val concatSmall =
         if (small.size == 1) small.head
-        else task("Merge::concatSmall[0]", Stage.Other, (0, 0), small, dfs => dfs.reduce(_ unionByName _))
+        else task("Merge::concatSmall[0]", Stage.Other, (0, 0), small, concat)
       big.zipWithIndex.map { case (b, r) =>
-        task(s"Merge::join[$r]", Stage.Reduce, (r, 0), Vector(b, concatSmall),
-          dfs => if (smallLeft) joinCompute(dfs(1), dfs(0)) else joinCompute(dfs(0), dfs(1)))
+        task(s"Merge::join[$r]", Stage.Reduce, (r, 0), Vector(b, concatSmall), dfs =>
+          if (smallLeft) joinCompute(broadcast(dfs(1)), dfs(0))
+          else joinCompute(dfs(0), broadcast(dfs(1))))
       }
     }
 
@@ -256,8 +277,8 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       (0 until r).toVector.map { b =>
         val inputsB = lb.map(_(b)) ++ rb.map(_(b))
         task(s"Merge::join[$b]", Stage.Reduce, (b, 0), inputsB, dfs => {
-          val l = dfs.take(nl).map(_.drop(Cols.RowId)).reduce(_ unionByName _)
-          val rr = dfs.drop(nl).map(_.drop(Cols.RowId)).reduce(_ unionByName _)
+          val l = concat(dfs.take(nl).map(_.drop(Cols.RowId)))
+          val rr = concat(dfs.drop(nl).map(_.drop(Cols.RowId)))
           joinCompute(l, rr)
         })
       }
@@ -340,8 +361,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   private def tileSort(s: SortOp, ins: Vector[ChunkTask]): TileResult = {
     val sortCols = s.by.zip(s.ascending).map { case (c, asc) => if (asc) col(c).asc else col(c).desc }
     val sorted = task("Sort::global[0]", Stage.Reduce, (0, 0), ins, dfs => {
-      val all = dfs.map(_.drop(Cols.RowId)).reduce(_ unionByName _)
-      Reindex.withRowId(all.orderBy(sortCols: _*))
+      Reindex.withRowId(concat(dfs.map(_.drop(Cols.RowId))).orderBy(sortCols: _*))
     })
     NeedExec(Vector(sorted), () => {
       val meta = metaOf(sorted).get
@@ -384,7 +404,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     }
     Tiled((0 until r).toVector.map { b =>
       task(s"Distinct::agg[$b]", Stage.Reduce, (b, 0), buckets.map(_(b)),
-        dfs => dedup(dfs.reduce(_ unionByName _)))
+        dfs => dedup(concat(dfs)))
     })
   }
 
@@ -392,8 +412,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private def tilePivot(p: PivotOp, ins: Vector[ChunkTask]): TileResult =
     Tiled(Vector(task("Pivot[0]", Stage.Reduce, (0, 0), ins, dfs => {
-      val all = dfs.map(_.drop(Cols.RowId)).reduce(_ unionByName _)
-      val g = all.groupBy(col(p.index)).pivot(p.columns)
+      val g = concat(dfs.map(_.drop(Cols.RowId))).groupBy(col(p.index)).pivot(p.columns)
       p.aggfunc match {
         case "sum"   => g.sum(p.values)
         case "mean"  => g.avg(p.values)
@@ -572,6 +591,12 @@ object Engine {
   val SampleChunks = 2
   /** Fan-in of one combine node in tree reduce (§IV-C auto merge). */
   val CombineFanIn = 4
+
+  /** Concatenate chunk fragments into one chunk. A union has one
+    * partition per input; coalescing (no shuffle) keeps the chunk one
+    * partition.
+    */
+  def concat(dfs: Seq[DataFrame]): DataFrame = dfs.reduce(_ unionByName _).coalesce(1)
 }
 
 /** Row-id regeneration for order-producing operators (sort). */

@@ -61,12 +61,16 @@ final class StorageService(spark: SparkSession, memoryBudget: Long) {
   private var putsN, getsN, localN, remoteN, spillsN, spilledB = 0L
 
   /** Materialize `df` as chunk `key` on `band`; returns observed metadata.
-    * Materialization = persist + count, i.e. one real Spark job.
+    * The chunk is stored as one partition, which also covers plans built
+    * from RDDs, and materializing it is one Spark job.
     */
   def put(key: String, df: DataFrame, band: Int): ChunkMeta = synchronized {
     require(!entries.contains(key), s"chunk $key already stored")
-    val persisted = df.persist(SparkLevel.MEMORY_AND_DISK)
-    val rows = persisted.count()
+    val persisted = df.coalesce(1).persist(SparkLevel.MEMORY_AND_DISK)
+    // Count in the job that fills the cache. `persisted.count()` would plan
+    // a second Dataset over the full lineage, with an extra exchange job
+    // when that plan misses the cache.
+    val rows = persisted.queryExecution.toRdd.count()
     val meta = ChunkMeta(rows, rows * SchemaBytes.rowWidth(df.schema))
     tick += 1
     entries(key) = new Entry(key, persisted, meta, Tier.Memory, band, None, tick)
@@ -86,7 +90,9 @@ final class StorageService(spark: SparkSession, memoryBudget: Long) {
     if (e.band == requesterBand) localN += 1 else remoteN += 1
     e.tier match {
       case Tier.Memory => e.df
-      case Tier.Disk   => spark.read.parquet(e.path.get.toString)
+      // A parquet read reports unknown partitioning, over which Spark would
+      // plan a shuffle: keep the chunk one partition, and say so.
+      case Tier.Disk   => spark.read.parquet(e.path.get.toString).coalesce(1)
     }
   }
 

@@ -1,10 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
-import repro.SparkSpec
-import repro.SynthData
+import repro.{JobProbe, SparkSpec, SynthData}
+import repro.baseline.Engines
 import repro.core.AggSpec._
 
 /** Engine-level behavior: chunking, dynamic tiling switches, auto reduce
@@ -24,16 +24,20 @@ class TilingEngineSpec extends SparkSpec {
 
   private def keys(n: Long) = SynthData.uniformKeys(spark, n, 40, seed = 5)
 
-  private def assertSameSet(got: DataFrame, want: DataFrame): Unit = {
-    def canon(df: DataFrame) =
-      df.collect().map(_.toSeq.map {
-        case d: Double => f"$d%.6f"
-        case x         => String.valueOf(x)
-      }.mkString("|")).sorted
+  private def canon(rows: Array[Row]): Array[String] =
+    rows.map(_.toSeq.map {
+      case d: Double => f"$d%.6f"
+      case x         => String.valueOf(x)
+    }.mkString("|")).sorted
+
+  private def assertSameRows(got: Array[Row], want: Array[Row]): Unit = {
     val g = canon(got); val w = canon(want)
     assert(g.sameElements(w), s"rows differ: got ${g.length}, want ${w.length}\n" +
       s"  got head: ${g.take(3).toVector}\n  want head: ${w.take(3).toVector}")
   }
+
+  private def assertSameSet(got: DataFrame, want: DataFrame): Unit =
+    assertSameRows(got.collect(), want.collect())
 
   private def withEngine[T](c: EngineConfig)(f: Engine => T): T = {
     val e = new Engine(spark, c)
@@ -289,6 +293,56 @@ class TilingEngineSpec extends SparkSpec {
     withEngine(cfg()) { e =>
       val got = XFrame.source(e, "p", src).pivotTable("r", "c", "v", "sum").toDF()
       assertSameSet(got, src.groupBy("r").pivot("c").sum("v"))
+    }
+  }
+
+  test("a chunk is one Spark partition: no stage of a run writes shuffle output") {
+    // 4000 × 16 B = 62.5 KiB per fact table: 2 chunks at a 32 KiB limit,
+    // while the session would plan 64 partitions for any exchange.
+    val limit = 32L << 10
+    val facts = SynthData.uniformKeys(spark, 4000, 2000, seed = 11)
+    val other = SynthData.uniformKeys(spark, 4000, 2000, seed = 12).withColumnRenamed("v", "w")
+    val dim = spark.range(0, 40).select(col("id") as "g", (col("id") * 10) as "d")
+    def frames(e: Engine): Seq[XFrame] = {
+      val joined = XFrame.source(e, "facts", facts)
+        .merge(XFrame.source(e, "other", other), Seq("k")) // both sides large: shuffle merge
+        .withColumn("g", col("k") % 40)
+        .merge(XFrame.source(e, "dim", dim), Seq("g"))     // 40 rows: broadcast merge
+      val mean = joined.groupby().agg(MeanAgg("w", "mw"))
+      Seq(
+        joined.groupby("g").agg(SumAgg("w", "sw")),                   // 40 groups: tree reduce
+        joined.groupby("v").agg(SumAgg("w", "sw")).sortValues("sw"), // ~3k groups: shuffle reduce
+        joined.select("g", "d").dropDuplicates(),
+        joined.crossMerge(mean).filter(col("w") < col("mw")).groupby("d").agg(CountAgg("n")),
+      )
+    }
+    val joinedRef = facts.join(other, Seq("k")).withColumn("g", col("k") % 40).join(dim, Seq("g"))
+    val want = Seq(
+      joinedRef.groupBy("g").agg(sum("w") as "sw"),
+      joinedRef.groupBy("v").agg(sum("w") as "sw"),
+      joinedRef.select("g", "d").distinct(),
+      joinedRef.crossJoin(joinedRef.agg(avg("w") as "mw")).filter(col("w") < col("mw"))
+        .groupBy("d").agg(count(lit(1)) as "n"),
+    ).map(_.collect())
+    val arms = Seq[(String, () => Engine)](
+      "xorbits" -> (() => Engines.xorbits(spark, limit)),
+      "static" -> (() => Engines.static(spark, limit)))
+    for ((arm, mk) <- arms) {
+      val e = mk()
+      try {
+        val (got, probe) = JobProbe(spark.sparkContext)(frames(e).map(_.toDF().collect()))
+        assert(probe.jobs > 0)
+        assert(probe.shuffleWriteStages.isEmpty,
+          s"$arm: stages writing shuffle output: ${probe.shuffleWriteStages}")
+        got.zip(want).foreach { case (g, w) => assertSameRows(g, w) }
+        val sorted = got(1).map(_.getAs[Double]("sw"))
+        assert(sorted.sameElements(sorted.sorted), s"$arm: sort output out of order")
+        val st = e.stats
+        if (arm == "xorbits")
+          assert(st.treeReduces > 0 && st.shuffleReduces > 0 && st.broadcastMerges > 0 &&
+            st.shuffleMerges > 0, s"$arm must take every plan: $st")
+        else assert(st.shuffleReduces > 0 && st.shuffleMerges > 0, s"$arm: $st")
+      } finally e.reset()
     }
   }
 

@@ -1,19 +1,45 @@
 package repro.storage
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions._
 
-import repro.SparkSpec
+import repro.{JobProbe, SparkSpec}
 
 class StorageSpec extends SparkSpec {
 
   private def df(n: Int, seed: Long = 0) =
     spark.range(n).select(col("id"), rand(seed).as("v"))
 
+  /** A chunk is one partition, and the plan says so: Spark then plans no
+    * shuffle over it.
+    */
+  private def onePartition(df: DataFrame): Boolean =
+    df.queryExecution.executedPlan.outputPartitioning == SinglePartition
+
   test("put records exact row count and width-based bytes") {
     val s = new StorageService(spark, 1L << 30)
     val meta = s.put("a", df(100), band = 0)
     assert(meta.rows == 100)
     assert(meta.bytes == 100 * 16) // id long + v double
+    s.reset()
+  }
+
+  test("put of a multi-partition input stores one partition in one Spark job") {
+    val s = new StorageService(spark, 1L << 30)
+    val input = spark.range(0, 1000, 1, numPartitions = 8).select(col("id"), rand(3).as("v"))
+    assert(input.rdd.getNumPartitions == 8)
+    val (meta, probe) = JobProbe(spark.sparkContext)(s.put("a", input, 0))
+    assert(meta.rows == 1000)
+    assert(probe.jobs == 1, s"put ran ${probe.jobs} Spark jobs")
+    val got = s.get("a", 0)
+    assert(onePartition(got))
+    val scans = got.queryExecution.executedPlan.collect { case m: InMemoryTableScanExec => m }
+    assert(scans.size == 1, "get must read the cached chunk")
+    assert(scans.head.relation.cacheBuilder.cachedColumnBuffers.getNumPartitions == 1,
+      "the cache must hold one partition")
+    assert(got.count() == 1000)
     s.reset()
   }
 
@@ -63,7 +89,9 @@ class StorageSpec extends SparkSpec {
     s.put("a", a, 0)
     s.put("b", df(30, 8), 0)
     assert(s.tierOf("a").contains(Tier.Disk))
-    val got = s.get("a", 0).collect().map(_.toSeq.toString).sorted
+    val back = s.get("a", 0)
+    assert(onePartition(back))
+    val got = back.collect().map(_.toSeq.toString).sorted
     assert(got.sameElements(expect))
     s.reset()
   }
