@@ -38,7 +38,7 @@ object TileResult {
   * `SinglePartition` satisfies the distribution every aggregate, window
   * and sort requires, so over one-partition inputs Spark plans no shuffle
   * inside a chunk, whatever `spark.sql.shuffle.partitions` says. Source
-  * slices, `Engine.concat`, `StorageService.put` and disk-tier reads
+  * slices, `Engine.concat`, `StorageService.put` and disk-tier spills
   * coalesce (without a shuffle) to one partition: the places where more
   * partitions, or an unknown partitioning, can appear. Joins take the same
   * care (see `tileMerge`).
@@ -48,7 +48,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   import TileResult._
   import TileableOp._
 
-  val storage = new StorageService(spark, config.memoryBudget)
+  val storage = new StorageService(config.memoryBudget)
   val scheduler = new Scheduler(config.workers, config.bandsPerWorker)
   val stats = new EngineStats
 

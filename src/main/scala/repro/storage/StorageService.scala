@@ -1,9 +1,9 @@
 package repro.storage
 
-import java.nio.file.{Files, Path}
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.storage.{StorageLevel => SparkLevel}
 
 import repro.core.{ChunkMeta, SchemaBytes}
@@ -13,7 +13,9 @@ sealed trait Tier
 object Tier {
   /** In-memory (Spark cache, the shared-memory analog). */
   case object Memory extends Tier
-  /** Spilled to local parquet (the disk analog). */
+  /** Spilled to a disk-only local checkpoint in Spark's block manager
+    * (the disk analog).
+    */
   case object Disk extends Tier
 }
 
@@ -33,15 +35,16 @@ final case class StorageStats(
   *
   * Holds the chunks produced by all operators, keyed by a unique id.
   * Every worker reads and writes via `put`/`get` without knowing where
-  * the data actually lives — here, either the Spark block-manager cache
-  * (memory tier) or local parquet files (disk tier). When the memory
-  * tier exceeds its budget, least-recently-used chunks are spilled.
+  * the data actually lives. Both tiers are Spark's block manager: the
+  * memory tier is the Dataset cache, the disk tier a disk-only local
+  * checkpoint. When the memory tier exceeds its budget,
+  * least-recently-used chunks are spilled.
   *
   * Bands are tracked per chunk so the engine can attribute remote
   * (cross-band) reads — the simulated network-transfer statistic that
   * the locality-aware scheduler minimizes.
   */
-final class StorageService(spark: SparkSession, memoryBudget: Long) {
+final class StorageService(memoryBudget: Long) {
 
   private final class Entry(
       val key: String,
@@ -49,12 +52,10 @@ final class StorageService(spark: SparkSession, memoryBudget: Long) {
       val meta: ChunkMeta,
       var tier: Tier,
       var band: Int,
-      var path: Option[Path],
       var lastUse: Long,
   )
 
   private val entries = mutable.LinkedHashMap[String, Entry]()
-  private val spillDir: Path = Files.createTempDirectory("repro-spill-")
   private var tick = 0L
   private var memBytes = 0L
   private var peakMem = 0L
@@ -73,7 +74,7 @@ final class StorageService(spark: SparkSession, memoryBudget: Long) {
     val rows = persisted.queryExecution.toRdd.count()
     val meta = ChunkMeta(rows, rows * SchemaBytes.rowWidth(df.schema))
     tick += 1
-    entries(key) = new Entry(key, persisted, meta, Tier.Memory, band, None, tick)
+    entries(key) = new Entry(key, persisted, meta, Tier.Memory, band, tick)
     memBytes += meta.bytes
     peakMem = math.max(peakMem, memBytes)
     putsN += 1
@@ -88,12 +89,7 @@ final class StorageService(spark: SparkSession, memoryBudget: Long) {
     val e = entries.getOrElse(key, throw new NoSuchElementException(s"chunk $key not stored"))
     tick += 1; e.lastUse = tick; getsN += 1
     if (e.band == requesterBand) localN += 1 else remoteN += 1
-    e.tier match {
-      case Tier.Memory => e.df
-      // A parquet read reports unknown partitioning, over which Spark would
-      // plan a shuffle: keep the chunk one partition, and say so.
-      case Tier.Disk   => spark.read.parquet(e.path.get.toString).coalesce(1)
-    }
+    e.df
   }
 
   def contains(key: String): Boolean = synchronized(entries.contains(key))
@@ -104,20 +100,27 @@ final class StorageService(spark: SparkSession, memoryBudget: Long) {
   /** Drop a chunk from all tiers. */
   def free(key: String): Unit = synchronized {
     entries.remove(key).foreach { e =>
-      if (e.tier == Tier.Memory) { e.df.unpersist(false); memBytes -= e.meta.bytes }
-      e.path.foreach(deleteRecursively)
+      release(e, blocking = false)
+      if (e.tier == Tier.Memory) memBytes -= e.meta.bytes
     }
   }
 
-  /** Spill LRU memory-tier chunks until under budget. */
+  /** Spill LRU memory-tier chunks until under budget. A spill is one
+    * Spark job: it reads the chunk's cache and writes its one partition
+    * as a local disk block. The checkpoint's plan is a lineage-free scan
+    * of that block, which `get` returns as is.
+    */
   private def evictIfNeeded(exclude: String): Unit = {
     while (memBytes > memoryBudget && entries.values.exists(e => e.tier == Tier.Memory && e.key != exclude)) {
       val victim = entries.values.filter(e => e.tier == Tier.Memory && e.key != exclude).minBy(_.lastUse)
-      val p = spillDir.resolve(victim.key)
-      victim.df.write.mode("overwrite").parquet(p.toString)
+      // The scan reports the partitioning of the chunk's top-level plan,
+      // which is unknown when Spark planned it adaptively (any chunk built
+      // over an exchange or a cached join). Coalescing one partition runs
+      // in the reading task and keeps the chunk `SinglePartition`.
+      val onDisk = victim.df.localCheckpoint(eager = true, SparkLevel.DISK_ONLY).coalesce(1)
       victim.df.unpersist(false)
+      victim.df = onDisk
       victim.tier = Tier.Disk
-      victim.path = Some(p)
       memBytes -= victim.meta.bytes
       spillsN += 1
       spilledB += victim.meta.bytes
@@ -128,24 +131,18 @@ final class StorageService(spark: SparkSession, memoryBudget: Long) {
     StorageStats(putsN, getsN, localN, remoteN, spillsN, spilledB, memBytes, peakMem)
   )
 
-  /** Unpersist everything and delete spill files. Blocking, so the next
+  /** Release every chunk's blocks in both tiers. Blocking, so the next
     * engine's measurements don't race a background eviction storm.
     */
   def reset(): Unit = synchronized {
-    entries.values.foreach { e =>
-      if (e.tier == Tier.Memory) e.df.unpersist(true)
-      e.path.foreach(deleteRecursively)
-    }
+    entries.values.foreach(release(_, blocking = true))
     entries.clear()
     memBytes = 0
   }
 
-  private def deleteRecursively(p: Path): Unit = {
-    if (Files.isDirectory(p)) {
-      val s = Files.list(p)
-      try s.forEach(deleteRecursively(_)) finally s.close()
-    }
-    Files.deleteIfExists(p)
-    ()
+  /** Drop a chunk's blocks: its cache, or its checkpoint's RDD. */
+  private def release(e: Entry, blocking: Boolean): Unit = e.tier match {
+    case Tier.Memory => e.df.unpersist(blocking)
+    case Tier.Disk   => e.df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.unpersist(blocking) }
   }
 }

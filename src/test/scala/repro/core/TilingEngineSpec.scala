@@ -327,8 +327,12 @@ class TilingEngineSpec extends SparkSpec {
     val arms = Seq[(String, () => Engine)](
       "xorbits" -> (() => Engines.xorbits(spark, limit)),
       "static" -> (() => Engines.static(spark, limit)))
-    for ((arm, mk) <- arms) {
-      val e = mk()
+    // Each arm runs twice: once with every chunk in the memory tier, once
+    // on a memory tier too small for them, so that chunks spill and are
+    // read back from the disk tier.
+    for ((name, mk) <- arms; spilling <- Seq(false, true)) {
+      val arm = if (spilling) s"$name, spilling" else name
+      val e = if (spilling) new Engine(spark, mk().config.copy(memoryBudget = limit / 2)) else mk()
       try {
         val (got, probe) = JobProbe(spark.sparkContext)(frames(e).map(_.toDF().collect()))
         assert(probe.jobs > 0)
@@ -337,8 +341,9 @@ class TilingEngineSpec extends SparkSpec {
         got.zip(want).foreach { case (g, w) => assertSameRows(g, w) }
         val sorted = got(1).map(_.getAs[Double]("sw"))
         assert(sorted.sameElements(sorted.sorted), s"$arm: sort output out of order")
+        assert((e.storage.stats.spills > 0) == spilling, s"$arm: ${e.storage.stats}")
         val st = e.stats
-        if (arm == "xorbits")
+        if (name == "xorbits")
           assert(st.treeReduces > 0 && st.shuffleReduces > 0 && st.broadcastMerges > 0 &&
             st.shuffleMerges > 0, s"$arm must take every plan: $st")
         else assert(st.shuffleReduces > 0 && st.shuffleMerges > 0, s"$arm: $st")

@@ -2,6 +2,7 @@ package repro.storage
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
+import org.apache.spark.sql.execution.FileSourceScanExec
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions._
 
@@ -19,7 +20,7 @@ class StorageSpec extends SparkSpec {
     df.queryExecution.executedPlan.outputPartitioning == SinglePartition
 
   test("put records exact row count and width-based bytes") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     val meta = s.put("a", df(100), band = 0)
     assert(meta.rows == 100)
     assert(meta.bytes == 100 * 16) // id long + v double
@@ -27,7 +28,7 @@ class StorageSpec extends SparkSpec {
   }
 
   test("put of a multi-partition input stores one partition in one Spark job") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     val input = spark.range(0, 1000, 1, numPartitions = 8).select(col("id"), rand(3).as("v"))
     assert(input.rdd.getNumPartitions == 8)
     val (meta, probe) = JobProbe(spark.sparkContext)(s.put("a", input, 0))
@@ -44,27 +45,27 @@ class StorageSpec extends SparkSpec {
   }
 
   test("get returns the stored rows") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     s.put("a", df(50), 0)
     assert(s.get("a", 0).count() == 50)
     s.reset()
   }
 
   test("get of a missing key fails") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     assertThrows[NoSuchElementException](s.get("nope", 0))
     s.reset()
   }
 
   test("duplicate put rejected") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     s.put("a", df(10), 0)
     assertThrows[IllegalArgumentException](s.put("a", df(10), 0))
     s.reset()
   }
 
   test("local vs remote gets tracked by band") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     s.put("a", df(10), band = 2)
     s.get("a", 2); s.get("a", 3)
     val st = s.stats
@@ -73,7 +74,7 @@ class StorageSpec extends SparkSpec {
   }
 
   test("over-budget puts spill LRU chunks to the disk tier") {
-    val s = new StorageService(spark, memoryBudget = 40 * 16) // room for ~40 rows
+    val s = new StorageService(memoryBudget = 40 * 16) // room for ~40 rows
     s.put("a", df(30, 1), 0) // 480 B
     s.put("b", df(30, 2), 0) // now 960 B > 640 → "a" spills
     assert(s.tierOf("a").contains(Tier.Disk))
@@ -82,22 +83,59 @@ class StorageSpec extends SparkSpec {
     s.reset()
   }
 
-  test("spilled chunks read back identically from parquet") {
-    val s = new StorageService(spark, memoryBudget = 40 * 16)
-    val a = df(30, 7)
-    val expect = a.collect().map(_.toSeq.toString).sorted
-    s.put("a", a, 0)
-    s.put("b", df(30, 8), 0)
+  test("spilled chunks read back identically from the disk tier") {
+    // Spark plans the join adaptively and reports its partitioning as
+    // unknown; read back from the disk tier, it must still be one partition.
+    val dim = spark.range(0, 10, 1, 1).select(col("id") as "k", (col("id") * 2) as "d")
+    val joined = df(30, 4).select((col("id") % 10) as "k", col("v")).join(broadcast(dim), Seq("k"))
+    assert(!onePartition(joined))
+    for (a <- Seq(df(30, 7), joined)) {
+      val s = new StorageService(memoryBudget = 40 * 16)
+      val expect = a.collect().map(_.toSeq.toString).sorted
+      s.put("a", a, 0)
+      s.put("b", df(30, 8), 0)
+      assert(s.tierOf("a").contains(Tier.Disk))
+      val back = s.get("a", 0)
+      assert(onePartition(back))
+      val got = back.collect().map(_.toSeq.toString).sorted
+      assert(got.sameElements(expect))
+      s.reset()
+    }
+  }
+
+  test("get of a spilled chunk runs no Spark job and scans no file") {
+    val s = new StorageService(memoryBudget = 40 * 16)
+    s.put("a", df(30, 7), 0)
+    val (_, evicting) = JobProbe(spark.sparkContext)(s.put("b", df(30, 8), 0))
     assert(s.tierOf("a").contains(Tier.Disk))
-    val back = s.get("a", 0)
-    assert(onePartition(back))
-    val got = back.collect().map(_.toSeq.toString).sorted
-    assert(got.sameElements(expect))
+    assert(evicting.jobs == 2, s"the evicting put ran ${evicting.jobs} Spark jobs, not put + spill")
+    val (back, probe) = JobProbe(spark.sparkContext)(s.get("a", 0))
+    assert(probe.jobs == 0, s"get of a spilled chunk ran ${probe.jobs} Spark jobs")
+    val plan = back.queryExecution.executedPlan
+    assert(plan.collect { case f: FileSourceScanExec => f }.isEmpty, s"get scans files:\n$plan")
+    assert(back.count() == 30)
     s.reset()
   }
 
+  test("free and reset release the blocks of both tiers") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keys.toSet
+    def held = sc.getPersistentRDDs.keys.toSet -- before
+    val s = new StorageService(memoryBudget = 40 * 16)
+    s.put("a", df(30, 1), 0)
+    s.put("b", df(30, 2), 0)
+    assert(s.tierOf("a").contains(Tier.Disk))
+    assert(held.size == 2, s"b's cache and a's disk block: $held")
+    s.free("a")
+    assert(held.size == 1, s"free of a spilled chunk left $held")
+    s.put("c", df(30, 3), 0) // spills b
+    assert(s.tierOf("b").contains(Tier.Disk))
+    s.reset()
+    assert(held.isEmpty, s"reset left $held")
+  }
+
   test("LRU eviction spills the least recently used chunk") {
-    val s = new StorageService(spark, memoryBudget = 70 * 16)
+    val s = new StorageService(memoryBudget = 70 * 16)
     s.put("a", df(30, 1), 0)
     s.put("b", df(30, 2), 0)
     s.get("a", 0) // touch a → b becomes LRU
@@ -108,7 +146,7 @@ class StorageSpec extends SparkSpec {
   }
 
   test("free removes a chunk and releases memory accounting") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     s.put("a", df(100), 0)
     val before = s.stats.memBytes
     s.free("a")
@@ -118,7 +156,7 @@ class StorageSpec extends SparkSpec {
   }
 
   test("peak memory tracks the high-water mark") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     s.put("a", df(100), 0)
     s.free("a")
     s.put("b", df(10), 0)
@@ -127,7 +165,7 @@ class StorageSpec extends SparkSpec {
   }
 
   test("meta and bandOf are queryable after put") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     s.put("a", df(5), band = 3)
     assert(s.meta("a").exists(_.rows == 5))
     assert(s.bandOf("a").contains(3))
@@ -136,7 +174,7 @@ class StorageSpec extends SparkSpec {
   }
 
   test("reset clears everything") {
-    val s = new StorageService(spark, 1L << 30)
+    val s = new StorageService(1L << 30)
     s.put("a", df(5), 0); s.put("b", df(5), 0)
     s.reset()
     assert(!s.contains("a") && !s.contains("b"))
