@@ -1,10 +1,13 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.{ExecutorService, LinkedBlockingQueue, ThreadFactory, ThreadPoolExecutor, TimeUnit}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicLong}
 import scala.annotation.tailrec
 import scala.collection.mutable
+import scala.util.{Failure, Success, Try}
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{classic, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
@@ -27,6 +30,11 @@ object TileResult {
   final case class NeedExec(targets: Vector[ChunkTask], resume: () => TileResult) extends TileResult
 }
 
+/** Raised at tile time when `iloc` or `head` must cut rows out of a chunk
+  * that carries no row ids, so that positions within it are undefined.
+  */
+final class UnorderedLineageException(message: String) extends IllegalArgumentException(message)
+
 /** The Xorbits-style execution engine: dynamic tiling, graph/operator
   * fusion, band scheduling, and an intermediate storage service — layered
   * over a single SparkSession whose Catalyst engine plays the role of the
@@ -44,7 +52,7 @@ object TileResult {
   * care (see `tileMerge`).
   */
 final class Engine(val spark: SparkSession, val config: EngineConfig) {
-  import Engine.concat
+  import Engine.{concat, Access, Fill, Read, SubtaskRun}
   import TileResult._
   import TileableOp._
 
@@ -134,8 +142,9 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       val schema = s.df.schema.add(Cols.RowId, LongType, nullable = false)
       val rdd = s.df.rdd.zipWithIndex().map { case (r, i) => Row.fromSeq(r.toSeq :+ i) }
       val ind = spark.createDataFrame(rdd, schema).persist(SparkLevel.MEMORY_AND_DISK)
-      // Counted as `StorageService.put` counts: one job, no exchange.
-      (ind, ind.queryExecution.toRdd.count())
+      // Counted as `StorageService.putFill` counts: one job, no exchange.
+      val rows = ind.queryExecution.toRdd
+      (ind, spark.sparkContext.runJob(rows, StorageService.countRows, rows.partitions.indices).sum)
     })
     val bytes = rows * SchemaBytes.rowWidth(s.df.schema)
     val nChunks = math.max(1L, (bytes + config.chunkSizeLimit - 1) / config.chunkSizeLimit).toInt
@@ -337,12 +346,15 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
           if (localLo == 0 && localHi == (cHi - cLo)) {
             out += task(s"ILoc::pass[$idx]", Stage.Other, (idx, 0), Vector(ins(j)), dfs => dfs.head)
           } else {
+            // Positions within a chunk follow its row ids, which merges,
+            // aggregations and other reshuffles drop.
+            if (!storage.read(keyOf(ins(j))).columns.contains(Cols.RowId))
+              throw new UnorderedLineageException(
+                s"iloc needs row order inside chunk ${ins(j).label}, whose lineage lost it " +
+                  "(sort_values first after shuffles)")
             out += task(s"ILoc::slice[$idx]", Stage.Other, (idx, 0), Vector(ins(j)), dfs => {
-              val df = dfs.head
-              require(df.columns.contains(Cols.RowId),
-                "iloc requires ordered lineage (sort_values first after shuffles)")
               val w = Window.orderBy(col(Cols.RowId))
-              df.withColumn("__rn", row_number().over(w))
+              dfs.head.withColumn("__rn", row_number().over(w))
                 .filter(col("__rn") > localLo && col("__rn") <= localHi)
                 .drop("__rn")
             })
@@ -429,6 +441,13 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   /** Execute (materialize) the given chunk tasks plus everything they
     * transitively need that is not already in the storage service.
+    *
+    * The subtasks run in waves: a wave is one dependency level of the
+    * subtask graph, so its subtasks read only chunks stored before it.
+    * Each wave's subtasks run concurrently on the band threads; then the
+    * calling thread commits them one by one, in subtask order (see
+    * `commit`), so that what the engine records does not depend on which
+    * band finished first.
     */
   def execute(targets: Seq[ChunkTask]): Unit = {
     val need = ChunkGraph.closure(targets, isMaterialized)
@@ -454,28 +473,64 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     val targetIds = targets.map(_.id).toSet
     val succAll = Dag.successors(need, (t: ChunkTask) => t.inputs)
-    subtasks.foreach(st => runSubtask(st, bands(st.id), targetIds, succAll))
+    SubtaskGraph.waves(subtasks).foreach { wave =>
+      runWave(wave, st => runSubtask(st, bands(st.id), targetIds, succAll)).foreach(commit)
+    }
   }
 
+  /** Run one wave's subtasks, at most `numBands` at a time on the band
+    * threads (a wave of one runs on the calling thread), and return their
+    * runs in wave order. If a subtask fails, the chunks the wave filled
+    * are dropped and the first failure in wave order is rethrown as
+    * raised.
+    */
+  private def runWave(wave: Vector[Subtask], run: Subtask => SubtaskRun): Vector[SubtaskRun] = {
+    if (wave.size == 1) return Vector(run(wave.head))
+    val results = new Array[Try[SubtaskRun]](wave.size)
+    val next = new AtomicInteger(0)
+    val failed = new AtomicBoolean(false)
+    val pool = Engine.bandThreads(config.numBands)
+    // `withThreadLocalCaptured` makes `spark` the band thread's active
+    // session and gives it the caller's Spark local properties (job group,
+    // scheduler pool), so its jobs look as if the caller ran them.
+    val lanes = Vector.fill(math.min(wave.size, config.numBands)) {
+      SQLExecution.withThreadLocalCaptured(spark.asInstanceOf[classic.SparkSession], pool) {
+        var i = next.getAndIncrement()
+        while (i < wave.size && !failed.get) {
+          results(i) = try Success(run(wave(i))) catch { case e: Throwable => Failure(e) }
+          if (results(i).isFailure) failed.set(true)
+          i = next.getAndIncrement()
+        }
+      }
+    }
+    lanes.foreach(_.join())
+    val runs = results.toVector.filter(_ != null)
+    runs.collectFirst { case Failure(e) => e }.foreach { e =>
+      runs.foreach(_.foreach(r => dropFills(r.accesses)))
+      throw e
+    }
+    runs.map(_.get)
+  }
+
+  /** Run one subtask's chunk tasks and fill the cache of each exposed
+    * chunk (a target, or a chunk consumed outside the subtask). Touches
+    * no engine state: it reads stored chunks without counting the reads,
+    * and registers nothing. `commit` does both, in the order recorded.
+    * On failure, the chunks it filled are dropped.
+    */
   private def runSubtask(
       st: Subtask,
       band: Int,
       targetIds: Set[Long],
       succAll: Map[ChunkTask, Vector[ChunkTask]],
-  ): Unit = {
+  ): SubtaskRun = {
     val t0 = System.nanoTime()
     val inSt = st.taskIds
     val local = mutable.Map[Long, DataFrame]()
-    var inputBytes = 0L
-    var remoteBytes = 0L
+    val accesses = mutable.ArrayBuffer[Access]()
 
     def dfOf(t: ChunkTask): DataFrame =
-      local.getOrElse(t.id, {
-        val bytes = metaOf(t).map(_.bytes).getOrElse(0L)
-        inputBytes += bytes
-        if (!storage.bandOf(keyOf(t)).contains(band)) remoteBytes += bytes
-        storage.get(keyOf(t), band)
-      })
+      local.getOrElse(t.id, { accesses += Read(t); storage.read(keyOf(t)) })
 
     // Operator-level fusion: collapse chains of narrow tasks inside the
     // subtask into one composed pipe, so Catalyst sees a single
@@ -483,6 +538,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     val skip = mutable.Set[Long]()
     val effPipe = mutable.Map[Long, NarrowPipe]()
     val effIns = mutable.Map[Long, Vector[ChunkTask]]()
+    var narrowFused = 0L
     if (config.operatorFusion) {
       st.tasks.foreach { t =>
         t.narrow.foreach { p =>
@@ -493,7 +549,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
             if (inSt.contains(in.id) && effPipe.contains(in.id) && !targetIds.contains(in.id) &&
                 succAll(in).size == 1) {
               skip += in.id
-              stats.narrowStepsFused += effPipe(in.id).steps.size
+              narrowFused += effPipe(in.id).steps.size
               pipe = effPipe(in.id) ++ p
               ins = effIns(in.id)
             }
@@ -518,35 +574,65 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       if (inSt.contains(i.id)) internalUses(i.id) += 1
     })
 
-    var outputBytes = 0L
     val temps = mutable.ArrayBuffer[DataFrame]()
-    execTasks.foreach { t =>
-      val out =
-        if (config.operatorFusion && effPipe.contains(t.id))
-          effPipe(t.id)(dfOf(effInputs(t).head), fused = true)
-        else t.compute(t.inputs.map(dfOf))
-      local(t.id) = out
-      stats.tasksExecuted += 1
-      // Store exposed outputs immediately (targets, or chunks consumed
-      // outside this subtask) so downstream internal consumers reuse the
-      // materialized chunk instead of recomputing the plan.
-      val exposed = targetIds.contains(t.id) || succAll(t).exists(s => !inSt.contains(s.id))
-      if (exposed && !isMaterialized(t)) {
-        val meta = storage.put(keyOf(t), out, band)
+    try {
+      execTasks.foreach { t =>
+        val out =
+          if (config.operatorFusion && effPipe.contains(t.id))
+            effPipe(t.id)(dfOf(effInputs(t).head), fused = true)
+          else t.compute(t.inputs.map(dfOf))
+        local(t.id) = out
+        // Fill exposed outputs immediately (targets, or chunks consumed
+        // outside this subtask) so downstream internal consumers reuse the
+        // materialized chunk instead of recomputing the plan. Every task
+        // here is unmaterialized: `execute` runs only the closure of what
+        // is not stored.
+        if (targetIds.contains(t.id) || succAll(t).exists(s => !inSt.contains(s.id)))
+          accesses += Fill(t, storage.putFill(out))
+        else if (internalUses(t.id) > 1) {
+          out.persist(SparkLevel.MEMORY_AND_DISK)
+          temps += out
+        }
+      }
+    } catch {
+      case e: Throwable => dropFills(accesses); throw e
+    } finally temps.foreach(_.unpersist(false))
+    SubtaskRun(st, band, accesses.toVector, execTasks.size, narrowFused, (System.nanoTime() - t0) / 1e6)
+  }
+
+  /** Unpersist the chunks a subtask filled but did not commit. */
+  private def dropFills(accesses: Iterable[Access]): Unit =
+    accesses.foreach { case Fill(_, f) => f.df.unpersist(false); case _ => }
+
+  /** Record a run subtask, on the calling thread: replay its storage reads
+    * and register its filled chunks (which may spill) in the order it made
+    * them, then update `materialized`, the counters and the trace. The
+    * LRU clock, spill victims, counters and trace are those of running
+    * the subtasks one after another in this order. Until its commit, a
+    * wave's filled chunks are outside the memory tier's budget.
+    */
+  private def commit(run: SubtaskRun): Unit = {
+    var inputBytes = 0L
+    var outputBytes = 0L
+    var remoteBytes = 0L
+    run.accesses.foreach {
+      case Read(t) =>
+        val bytes = metaOf(t).map(_.bytes).getOrElse(0L)
+        inputBytes += bytes
+        if (!storage.bandOf(keyOf(t)).contains(run.band)) remoteBytes += bytes
+        storage.recordGet(keyOf(t), run.band)
+      case Fill(t, filled) =>
+        val meta = storage.putRegister(keyOf(t), filled, run.band)
         materialized += t.id
         stats.chunksMaterialized += 1
         stats.bytesMaterialized += meta.bytes
         outputBytes += meta.bytes
-      } else if (internalUses(t.id) > 1) {
-        out.persist(SparkLevel.MEMORY_AND_DISK)
-        temps += out
-      }
     }
-    temps.foreach(_.unpersist(false))
+    stats.tasksExecuted += run.tasksRun
+    stats.narrowStepsFused += run.narrowFused
     stats.subtasksExecuted += 1
     stats.traces += SubtaskTrace(
-      st.id, st.tasks.map(_.label), band, inputBytes, outputBytes, remoteBytes,
-      (System.nanoTime() - t0) / 1e6)
+      run.st.id, run.st.tasks.map(_.label), run.band, inputBytes, outputBytes, remoteBytes, run.wallMs)
   }
 
   // ---------------------------------------------------------------------
@@ -585,6 +671,46 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 }
 
 object Engine {
+  /** A subtask run on a band, not yet committed: the stored chunks it read
+    * and the chunks it filled, in order, and what it measured.
+    */
+  private final case class SubtaskRun(
+      st: Subtask,
+      band: Int,
+      accesses: Vector[Access],
+      tasksRun: Int,
+      narrowFused: Long,
+      wallMs: Double,
+  )
+
+  private sealed trait Access
+  private final case class Read(t: ChunkTask) extends Access
+  private final case class Fill(t: ChunkTask, filled: StorageService.Filled) extends Access
+
+  /** The band threads, shared by every engine in the process: daemon
+    * threads, at most as many as the most bands an engine has asked for,
+    * which exit after a minute idle.
+    */
+  private val bandPool = {
+    val n = new AtomicInteger(0)
+    val factory: ThreadFactory = r => {
+      val t = new Thread(r, s"repro-band-${n.incrementAndGet()}")
+      t.setDaemon(true)
+      t
+    }
+    val p = new ThreadPoolExecutor(1, 1, 60, TimeUnit.SECONDS, new LinkedBlockingQueue[Runnable](), factory)
+    p.allowCoreThreadTimeOut(true)
+    p
+  }
+
+  private def bandThreads(bands: Int): ExecutorService = bandPool.synchronized {
+    if (bands > bandPool.getMaximumPoolSize) {
+      bandPool.setMaximumPoolSize(bands)
+      bandPool.setCorePoolSize(bands)
+    }
+    bandPool
+  }
+
   /** Chunks per input executed eagerly to collect metadata before a
     * reduce or merge plan is chosen (§IV-B).
     */

@@ -39,4 +39,20 @@ object Dag {
     nodes.foreach(n => preds(n).foreach(p => if (inSet.contains(p)) m(p) = m.getOrElse(p, Vector.empty) :+ n))
     m.toMap.withDefaultValue(Vector.empty)
   }
+
+  /** Dependency levels of a DAG whose `nodes` are in topological order:
+    * level 0 holds the nodes with no predecessor in `nodes`, level k + 1
+    * those whose deepest predecessor is at level k. Each level keeps the
+    * order of `nodes`.
+    */
+  def levels[N](nodes: Vector[N], preds: N => Seq[N]): Vector[Vector[N]] = {
+    val inSet = nodes.toSet
+    val level = mutable.HashMap[N, Int]()
+    nodes.foreach { n =>
+      val ps = preds(n).filter(inSet.contains)
+      require(ps.forall(level.contains), s"nodes not in topological order at $n")
+      level(n) = ps.map(level).maxOption.fold(0)(_ + 1)
+    }
+    nodes.groupBy(level).toVector.sortBy(_._1).map(_._2)
+  }
 }

@@ -47,6 +47,15 @@ object SubtaskGraph {
     }.toMap
   }
 
+  /** The subtasks grouped by dependency level, each level in the order
+    * of `subtasks` (which must be topological): a level's subtasks read
+    * only chunks that earlier levels or earlier calls produced.
+    */
+  def waves(subtasks: Vector[Subtask]): Vector[Vector[Subtask]] = {
+    val byId = subtasks.map(st => st.id -> st).toMap
+    Dag.levels(subtasks.map(_.id), preds(subtasks)).map(_.map(byId))
+  }
+
   /** Topological order of subtasks (inputs first). */
   def topoOrder(subtasks: Vector[Subtask]): Vector[Subtask] = {
     val byId = subtasks.map(st => st.id -> st).toMap

@@ -2,6 +2,7 @@ package repro.storage
 
 import scala.collection.mutable
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.storage.{StorageLevel => SparkLevel}
@@ -45,6 +46,7 @@ final case class StorageStats(
   * the locality-aware scheduler minimizes.
   */
 final class StorageService(memoryBudget: Long) {
+  import StorageService.Filled
 
   private final class Entry(
       val key: String,
@@ -65,16 +67,39 @@ final class StorageService(memoryBudget: Long) {
     * The chunk is stored as one partition, which also covers plans built
     * from RDDs, and materializing it is one Spark job.
     */
-  def put(key: String, df: DataFrame, band: Int): ChunkMeta = synchronized {
-    require(!entries.contains(key), s"chunk $key already stored")
+  def put(key: String, df: DataFrame, band: Int): ChunkMeta = {
+    require(!contains(key), s"chunk $key already stored")
+    putRegister(key, putFill(df), band)
+  }
+
+  /** The Spark half of a put: fill the chunk's cache in one Spark job,
+    * outside the service's lock, so that several bands can fill chunks at
+    * once. Nothing is registered: `putRegister` stores the chunk, or the
+    * caller unpersists `Filled.df` to drop it.
+    */
+  def putFill(df: DataFrame): Filled = {
     val persisted = df.coalesce(1).persist(SparkLevel.MEMORY_AND_DISK)
     // Count in the job that fills the cache. `persisted.count()` would plan
     // a second Dataset over the full lineage, with an extra exchange job
     // when that plan misses the cache.
-    val rows = persisted.queryExecution.toRdd.count()
-    val meta = ChunkMeta(rows, rows * SchemaBytes.rowWidth(df.schema))
+    try {
+      val rdd = persisted.queryExecution.toRdd
+      val rows = rdd.sparkContext.runJob(rdd, StorageService.countRows, rdd.partitions.indices).sum
+      Filled(persisted, ChunkMeta(rows, rows * SchemaBytes.rowWidth(df.schema)))
+    } catch {
+      case e: Throwable => persisted.unpersist(false); throw e
+    }
+  }
+
+  /** The bookkeeping half of a put: register a filled chunk as `key` on
+    * `band` in the memory tier, then spill least-recently-used chunks
+    * while the tier is over budget.
+    */
+  def putRegister(key: String, filled: Filled, band: Int): ChunkMeta = synchronized {
+    require(!entries.contains(key), s"chunk $key already stored")
+    val meta = filled.meta
     tick += 1
-    entries(key) = new Entry(key, persisted, meta, Tier.Memory, band, tick)
+    entries(key) = new Entry(key, filled.df, meta, Tier.Memory, band, tick)
     memBytes += meta.bytes
     peakMem = math.max(peakMem, memBytes)
     putsN += 1
@@ -86,11 +111,24 @@ final class StorageService(memoryBudget: Long) {
     * the chunk lives on a different band.
     */
   def get(key: String, requesterBand: Int): DataFrame = synchronized {
-    val e = entries.getOrElse(key, throw new NoSuchElementException(s"chunk $key not stored"))
+    recordGet(key, requesterBand)
+    read(key)
+  }
+
+  /** Chunk `key` as it is stored now, without counting a read. */
+  def read(key: String): DataFrame = synchronized(entry(key).df)
+
+  /** Count a read of chunk `key` from a band, and make it the most
+    * recently used chunk, as `get` does.
+    */
+  def recordGet(key: String, requesterBand: Int): Unit = synchronized {
+    val e = entry(key)
     tick += 1; e.lastUse = tick; getsN += 1
     if (e.band == requesterBand) localN += 1 else remoteN += 1
-    e.df
   }
+
+  private def entry(key: String): Entry =
+    entries.getOrElse(key, throw new NoSuchElementException(s"chunk $key not stored"))
 
   def contains(key: String): Boolean = synchronized(entries.contains(key))
   def meta(key: String): Option[ChunkMeta] = synchronized(entries.get(key).map(_.meta))
@@ -144,5 +182,24 @@ final class StorageService(memoryBudget: Long) {
   private def release(e: Entry, blocking: Boolean): Unit = e.tier match {
     case Tier.Memory => e.df.unpersist(blocking)
     case Tier.Disk   => e.df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.unpersist(blocking) }
+  }
+}
+
+object StorageService {
+
+  /** A chunk whose cache `putFill` filled: its persisted Dataset and the
+    * metadata observed while filling it.
+    */
+  final case class Filled(df: DataFrame, meta: ChunkMeta)
+
+  /** Rows of one partition. Spark's closure cleaner parses the class file
+    * that declares a job's closure on every job it submits; this small
+    * object is cheap to parse, where `RDD.count` makes it parse `RDD` and
+    * `SparkContext`, both about 200 KB.
+    */
+  val countRows: (TaskContext, Iterator[Any]) => Long = (_, rows) => {
+    var n = 0L
+    while (rows.hasNext) { rows.next(); n += 1 }
+    n
   }
 }

@@ -3,20 +3,35 @@ package repro
 import scala.collection.mutable
 
 import org.apache.spark.{SparkContext, SparkTestAccess}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageSubmitted}
 
 /** The Spark jobs and stages that one block of code ran. */
 final class JobProbe private () extends SparkListener {
   private var jobsN = 0
+  private var running = 0
+  private var maxRunning = 0
   private val shuffleStages = mutable.ArrayBuffer[String]()
 
-  override def onJobStart(e: SparkListenerJobStart): Unit = synchronized { jobsN += 1 }
+  override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+    jobsN += 1
+    running += 1
+    maxRunning = math.max(maxRunning, running)
+  }
+
+  // The scheduler posts job events from its one event loop, in the order
+  // jobs start and end, so a running count gives the overlap.
+  override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+    running -= 1
+  }
 
   override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = synchronized {
     if (SparkTestAccess.writesShuffle(e.stageInfo)) shuffleStages += e.stageInfo.name
   }
 
   def jobs: Int = synchronized(jobsN)
+
+  /** Most jobs that were running at the same time. */
+  def maxConcurrentJobs: Int = synchronized(maxRunning)
 
   /** Names of the submitted stages that write shuffle output. */
   def shuffleWriteStages: Seq[String] = synchronized(shuffleStages.toSeq)

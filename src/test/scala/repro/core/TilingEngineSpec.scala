@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
@@ -241,6 +243,17 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
+  test("iloc inside a chunk without row ids fails at tile time with a named error") {
+    withEngine(cfg()) { e =>
+      // 40 groups: tree reduce into one chunk, which carries no row ids.
+      val grouped = XFrame.source(e, "t", keys(20000)).groupby("k").agg(SumAgg("v", "sv"))
+      val err = intercept[UnorderedLineageException](grouped.iloc(3).toDF())
+      assert(err.getMessage.contains("GroupbyAgg::agg[0]"), err.getMessage)
+      assert(!e.stats.traces.exists(_.labels.exists(_.startsWith("ILoc"))),
+        "no iloc task may exist, let alone run")
+    }
+  }
+
   test("sort produces globally ordered output split into chunks") {
     val src = keys(20000)
     withEngine(cfg()) { e =>
@@ -348,6 +361,84 @@ class TilingEngineSpec extends SparkSpec {
             st.shuffleMerges > 0, s"$arm must take every plan: $st")
         else assert(st.shuffleReduces > 0 && st.shuffleMerges > 0, s"$arm: $st")
       } finally e.reset()
+    }
+  }
+
+  /** Three sources, each a one-chunk table with a slow narrow step, then
+    * concatenated: one wave of three independent subtasks.
+    */
+  private def slowConcat(e: Engine, srcs: Seq[DataFrame]): XFrame = {
+    val slow = udf((v: Double) => { Thread.sleep(1); v * 2 })
+    srcs.zipWithIndex.map { case (df, i) =>
+      XFrame.source(e, s"s$i", df).withColumn("w", slow(col("v")))
+    }.reduce(_ concat _)
+  }
+
+  test("a wave's subtasks run concurrently, and every record of the run is deterministic") {
+    val srcs = (1 to 3).map(i => SynthData.uniformKeys(spark, 150, 40, seed = 20 + i))
+    val want = srcs.map(_.withColumn("w", col("v") * 2)).reduce(_ unionByName _).collect()
+    for ((name, mk) <- Seq[(String, () => Engine)](
+        "xorbits" -> (() => Engines.xorbits(spark, 64 << 10)),
+        "static" -> (() => Engines.static(spark, 64 << 10)))) {
+      def run(): (String, Seq[(Long, Seq[String], Int, Long, Long, Long)], Int) = {
+        val e = mk()
+        try {
+          val f = slowConcat(e, srcs)
+          val chunks = e.tile(f.tileable)
+          assert(chunks.size == 3, s"$name: one chunk per source")
+          val (got, probe) = JobProbe(spark.sparkContext)(f.toDF().collect())
+          assertSameRows(got, want)
+          assert(e.stats.subtasksExecuted == 3, s"$name: ${e.stats}")
+          val traces = e.stats.traces.map(t =>
+            (t.subtaskId, t.labels, t.band, t.inputBytes, t.outputBytes, t.remoteBytes))
+          (s"${e.stats} ${e.storage.stats}", traces.toSeq, probe.maxConcurrentJobs)
+        } finally e.reset()
+      }
+      val (stats1, traces1, overlap1) = run()
+      val (stats2, traces2, overlap2) = run()
+      assert(stats1 == stats2, s"$name: stats differ between runs")
+      assert(traces1 == traces2, s"$name: traces differ between runs")
+      assert(traces1.map(_._3).distinct.size == 3, s"$name: the wave spreads over three bands")
+      assert(math.min(overlap1, overlap2) >= 2,
+        s"$name: at most ${math.min(overlap1, overlap2)} Spark job(s) ran at a time")
+    }
+  }
+
+  test("band threads are shared: many engines do not add threads beyond the band count") {
+    val a = keys(50); val b = SynthData.uniformKeys(spark, 50, 40, seed = 9)
+    var bands = 0
+    for (_ <- 1 to 50) {
+      val e = Engines.xorbits(spark, 64 << 10)
+      bands = e.config.numBands
+      try XFrame.source(e, "a", a).concat(XFrame.source(e, "b", b)).toDF().collect()
+      finally e.reset()
+    }
+    val n = Thread.getAllStackTraces.keySet.asScala.count(_.getName.startsWith("repro-band-"))
+    assert(n > 0, "the two-wide waves ran on band threads")
+    assert(n <= bands, s"$n band threads alive, more than the $bands bands")
+  }
+
+  test("a failing subtask fails its wave: original error, nothing committed, fills dropped") {
+    withEngine(cfg()) { e =>
+      val good = (1 to 2).map(i => XFrame.source(e, s"g$i", SynthData.uniformKeys(spark, 100, 40, seed = 30 + i)))
+      // Fails on its band after the other subtasks have filled their chunks.
+      val bad = XFrame.source(e, "bad", keys(100)).mapChunks("Boom") { _ =>
+        Thread.sleep(500)
+        throw new IllegalStateException("boom")
+      }
+      val chunks = e.tile((good :+ bad).reduce(_ concat _).tileable)
+      val cachedBefore = spark.sparkContext.getPersistentRDDs.keySet
+      val storageBefore = e.storage.stats
+      val err = intercept[IllegalStateException](e.execute(chunks))
+      assert(err.getMessage == "boom")
+      // Planning ran (graph fusion counts what it fused); nothing was committed.
+      val st = e.stats
+      assert(st.subtasksExecuted == 0 && st.tasksExecuted == 0 && st.chunksMaterialized == 0 &&
+        st.narrowStepsFused == 0 && st.traces.isEmpty, st.toString)
+      assert(e.storage.stats == storageBefore, e.storage.stats.toString)
+      assert(!chunks.exists(e.isMaterialized))
+      assert(spark.sparkContext.getPersistentRDDs.keySet == cachedBefore,
+        "the chunks the failed wave filled must be unpersisted")
     }
   }
 

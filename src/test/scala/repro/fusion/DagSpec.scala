@@ -26,4 +26,12 @@ class DagSpec extends AnyFunSuite {
     val err = intercept[IllegalArgumentException](Dag.topoSort(Vector(0, 1, 2, 3), preds))
     assert(err.getMessage.contains("cycle detected in DAG (1 of 4 ordered)"))
   }
+
+  test("levels group a topological order by depth, keeping the order within a level") {
+    // 5 waits for 2 (level 1) and 3 (level 1); 7 has a predecessor outside.
+    val preds = Map(4 -> Seq(), 1 -> Seq(), 3 -> Seq(4), 2 -> Seq(1), 5 -> Seq(2, 3), 6 -> Seq(1), 7 -> Seq(9))
+    assert(Dag.levels(Vector(4, 1, 3, 2, 5, 6, 7), preds) ==
+      Vector(Vector(4, 1, 7), Vector(3, 2, 6), Vector(5)))
+    assertThrows[IllegalArgumentException](Dag.levels(Vector(2, 1), preds))
+  }
 }

@@ -44,6 +44,21 @@ class StorageSpec extends SparkSpec {
     s.reset()
   }
 
+  test("putFill fills the cache in one job and registers nothing until putRegister") {
+    val s = new StorageService(1L << 30)
+    val (filled, probe) = JobProbe(spark.sparkContext)(s.putFill(df(40)))
+    assert(probe.jobs == 1 && filled.meta.rows == 40)
+    assert(!s.contains("a") && s.stats.puts == 0)
+    val (meta, registering) = JobProbe(spark.sparkContext)(s.putRegister("a", filled, band = 1))
+    assert(registering.jobs == 0 && meta == filled.meta)
+    assert(s.bandOf("a").contains(1) && s.stats.puts == 1)
+    // A read counts nothing; recordGet counts it as `get` does.
+    assert(s.read("a").count() == 40 && s.stats.gets == 0)
+    s.recordGet("a", 0)
+    assert(s.stats.gets == 1 && s.stats.remoteGets == 1)
+    s.reset()
+  }
+
   test("get returns the stored rows") {
     val s = new StorageService(1L << 30)
     s.put("a", df(50), 0)
