@@ -7,12 +7,12 @@ import org.apache.spark.sql.DataFrame
   *
   * Circles in the paper's figures are these tasks; squares (chunks) are
   * the tasks' outputs, identified by the task id in the storage service.
+  * A task carries no index of its own: the row index of a chunk in a
+  * tileable (the paper's distributed index, Fig 4) is its position in
+  * the tileable's `Engine.tile` result.
   *
   * @param id      unique id within an engine (also the storage key)
-  * @param label   human-readable operator label, e.g. "GroupbyAgg::map"
-  * @param stage   map-combine-reduce stage of the task
-  * @param index   distributed index (r, c): position of the output chunk
-  *                in the logical dataframe (paper Fig 4)
+  * @param label   human-readable operator label, e.g. "GroupbyAgg::map[3]"
   * @param inputs  upstream tasks whose output chunks this task consumes
   * @param compute pure Catalyst fragment: input chunk DataFrames →
   *                output chunk DataFrame (lazy; materialization happens
@@ -23,13 +23,11 @@ import org.apache.spark.sql.DataFrame
 final class ChunkTask(
     val id: Long,
     val label: String,
-    val stage: Stage,
-    val index: (Int, Int),
     val inputs: Vector[ChunkTask],
     val compute: Seq[DataFrame] => DataFrame,
     val narrow: Option[NarrowPipe] = None,
 ) {
-  override def toString: String = s"ChunkTask($id, $label, $stage, $index)"
+  override def toString: String = s"ChunkTask($id, $label)"
   override def hashCode(): Int = id.hashCode()
   override def equals(o: Any): Boolean = o match {
     case t: ChunkTask => t.id == id

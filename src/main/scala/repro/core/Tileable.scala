@@ -1,12 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, RelationalGroupedDataset}
 
 /** Operators of the tileable graph (logical plan, paper §III-C).
   *
   * Each user-facing API call becomes one of these nodes; the tiling
-  * engine later expands each node into chunk tasks (`tile` method
-  * analog), possibly pausing for execution (dynamic tiling, §IV).
+  * engine later expands each node into chunk tasks in row order (`tile`
+  * method analog; a chunk's row index is its position in that list),
+  * possibly pausing for execution (dynamic tiling, §IV).
   */
 sealed trait TileableOp {
   /** Short operator name used in labels, stats and profiles. */
@@ -61,6 +62,19 @@ object TileableOp {
   final case class PivotOp(index: String, columns: String, values: String, aggfunc: String)
       extends TileableOp {
     def name = s"Pivot($index,$columns,$values)"
+
+    /** `aggfunc` over the pivoted groups; an unknown name fails here, when
+      * the operator is built.
+      */
+    val aggregate: RelationalGroupedDataset => DataFrame = aggfunc match {
+      case "sum"   => _.sum(values)
+      case "mean"  => _.avg(values)
+      case "count" => _.count()
+      case "min"   => _.min(values)
+      case "max"   => _.max(values)
+      case other   =>
+        throw new IllegalArgumentException(s"pivot_table aggfunc '$other' is not one of sum, mean, count, min, max")
+    }
   }
 }
 

@@ -6,7 +6,7 @@ import scala.annotation.tailrec
 import scala.collection.mutable
 import scala.util.{Failure, Success, Try}
 
-import org.apache.spark.sql.{classic, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{classic, Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
@@ -71,12 +71,10 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private def task(
       label: String,
-      stage: Stage,
-      index: (Int, Int),
       inputs: Vector[ChunkTask],
       compute: Seq[DataFrame] => DataFrame,
       narrow: Option[NarrowPipe] = None,
-  ): ChunkTask = new ChunkTask(idGen.incrementAndGet(), label, stage, index, inputs, compute, narrow)
+  ): ChunkTask = new ChunkTask(idGen.incrementAndGet(), label, inputs, compute, narrow)
 
   private def keyOf(t: ChunkTask): String = s"c${t.id}"
 
@@ -125,23 +123,110 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     case h: HeadOp     => tileILoc(ILocOp(0, h.nRows), ins.head)
     case s: SortOp     => tileSort(s, ins.head)
     case d: DistinctOp => tileDistinct(d, ins.head)
-    case _: ConcatOp   => Tiled(reindexChunks(ins.flatten))
+    case _: ConcatOp   => Tiled(ins.flatten)
     case p: PivotOp    => tilePivot(p, ins.head)
   }
 
-  /** Renumber the chunk row-index (r) of a concatenated chunk list. */
-  private def reindexChunks(chunks: Vector[ChunkTask]): Vector[ChunkTask] =
-    chunks.zipWithIndex.map { case (c, r) =>
-      task(s"Concat[$r]", Stage.Other, (r, 0), Vector(c), dfs => dfs.head)
+  // -- Planning from measured metadata (§IV-B) ---------------------------
+
+  /** The §IV-B yield: execute the first `SampleChunks` chunks of each
+    * side, then `plan` with each side's bytes extrapolated from them (their
+    * mean times the side's chunk count).
+    */
+  private def measured(sides: Vector[ChunkTask]*)(plan: Seq[Long] => TileResult): TileResult = {
+    val samples = sides.map(_.take(Engine.SampleChunks))
+    NeedExec(samples.flatten.toVector, () => plan(sides.zip(samples).map { case (side, sample) =>
+      val bytes = sample.map(metaOf(_).get.bytes)
+      (bytes.sum.toDouble / bytes.size * side.size).toLong
+    }))
+  }
+
+  /** Reducers for `bytes` of measured data: one per chunk-size limit, at
+    * most `MaxReducers`.
+    */
+  private def reducers(bytes: Long): Int =
+    math.min(Engine.MaxReducers.toLong, bytes / math.max(1L, config.chunkSizeLimit) + 1).toInt
+
+  /** Reducers of the static plan: `staticReducers`, but no more than the
+    * input chunks.
+    */
+  private def staticReducers(chunks: Int): Int = math.min(config.staticReducers, chunks)
+
+  /** The M×R split of a shuffle: bucket `b` of every chunk of `side`, for
+    * each of `r` buckets (at least 2), by hash of `keys` (all user columns
+    * if empty). Tasks are created chunk by chunk; `label[m,b]` is bucket b
+    * of chunk m.
+    */
+  private def hashBuckets(label: String, side: Vector[ChunkTask], keys: Seq[String], r: Int): Vector[Vector[ChunkTask]] = {
+    val n = math.max(2, r)
+    side.zipWithIndex.map { case (c, m) =>
+      (0 until n).toVector.map { b =>
+        task(s"$label[$m,$b]", Vector(c), dfs => {
+          val df = dfs.head
+          val on = if (keys.isEmpty) df.columns.toSeq.filterNot(_ == Cols.RowId) else keys
+          df.filter(pmod(hash(on.map(col): _*), lit(n)) === b)
+        })
+      }
+    }.transpose
+  }
+
+  /** Map-Combine-Reduce (§III-C): `map` every chunk, then reduce the map
+    * outputs by one of two plans (§IV-B/C auto reduce selection):
+    *  - tree: `merge` up to `CombineFanIn` outputs per combine node, level
+    *    by level, into one chunk, then `finish` it;
+    *  - shuffle: split every output into R hash buckets on `keys`, then
+    *    `merge` and `finish` each bucket.
+    * `keys = None` (a global aggregate, with nothing to hash on) always
+    * takes the tree; `Some(Nil)` hashes on all user columns. The dynamic
+    * arm chooses by the measured size of the map outputs; the static arm
+    * always shuffles.
+    */
+  private def mapReduce(name: String, ins: Vector[ChunkTask], keys: Option[Seq[String]])(
+      map: DataFrame => DataFrame,
+      merge: Seq[DataFrame] => DataFrame,
+      finish: DataFrame => DataFrame,
+  ): TileResult = {
+    val maps = ins.zipWithIndex.map { case (c, m) => task(s"$name::map[$m]", Vector(c), dfs => map(dfs.head)) }
+
+    def tree(): Vector[ChunkTask] = {
+      stats.treeReduces += 1
+      var level = maps
+      var depth = 0
+      // Auto merge (§IV-C): concatenate map outputs up to the fan-in
+      // limit per combine node until one chunk remains.
+      while (level.size > 1) {
+        depth += 1
+        val fanIn = if (config.combineStage) Engine.CombineFanIn else level.size
+        level = level.grouped(fanIn).toVector.zipWithIndex.map { case (grp, r) =>
+          if (grp.size == 1) grp.head else task(s"$name::combine$depth[$r]", grp, merge)
+        }
+      }
+      val combined = depth > 0
+      Vector(task(s"$name::agg[0]", level, dfs => finish(if (combined) dfs.head else merge(dfs))))
     }
+
+    def shuffle(on: Seq[String], r: Int): Vector[ChunkTask] = {
+      stats.shuffleReduces += 1
+      hashBuckets(s"$name::bucket", maps, on, r).zipWithIndex.map { case (parts, b) =>
+        task(s"$name::agg[$b]", parts, dfs => finish(merge(dfs)))
+      }
+    }
+
+    keys match {
+      case None                              => Tiled(tree())
+      case Some(on) if !config.dynamicTiling => Tiled(shuffle(on, staticReducers(ins.size)))
+      case Some(on) =>
+        measured(maps) { case Seq(bytes) =>
+          Tiled(if (bytes <= config.treeReduceThreshold) tree() else shuffle(on, reducers(bytes)))
+        }
+    }
+  }
 
   // -- Source ------------------------------------------------------------
 
   private def tileSource(s: SourceOp): TileResult = {
     val (indexed, rows) = sourceCache.getOrElseUpdate(s.sourceName, {
-      val schema = s.df.schema.add(Cols.RowId, LongType, nullable = false)
-      val rdd = s.df.rdd.zipWithIndex().map { case (r, i) => Row.fromSeq(r.toSeq :+ i) }
-      val ind = spark.createDataFrame(rdd, schema).persist(SparkLevel.MEMORY_AND_DISK)
+      val ind = Reindex.withRowId(s.df).persist(SparkLevel.MEMORY_AND_DISK)
       // Counted as `StorageService.putFill` counts: one job, no exchange.
       val rows = ind.queryExecution.toRdd
       (ind, spark.sparkContext.runJob(rows, StorageService.countRows, rows.partitions.indices).sum)
@@ -152,7 +237,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     val chunks = (0 until nChunks).toVector.flatMap { r =>
       val lo = r * per; val hi = math.min(rows, lo + per)
       if (lo >= hi && r > 0) None
-      else Some(task(s"Read(${s.sourceName})[$r]", Stage.Source, (r, 0), Vector.empty,
+      else Some(task(s"Read(${s.sourceName})[$r]", Vector.empty,
         _ => indexed.filter(col(Cols.RowId) >= lo && col(Cols.RowId) < hi).coalesce(1)))
     }
     Tiled(chunks)
@@ -162,86 +247,31 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private def tileNarrow(nop: NarrowOp, ins: Vector[ChunkTask]): TileResult =
     Tiled(ins.zipWithIndex.map { case (c, r) =>
-      task(s"${nop.label}[$r]", Stage.Narrow, (r, 0), Vector(c),
+      task(s"${nop.label}[$r]", Vector(c),
         dfs => nop.pipe(dfs.head, fused = config.operatorFusion),
         narrow = Some(nop.pipe))
     })
 
-  // -- GroupbyAgg: map → (combine)* → reduce, auto reduce selection ------
+  // -- GroupbyAgg and Distinct: map → (combine)* or → shuffle ------------
 
   private def tileGroupAgg(g: GroupAggOp, ins: Vector[ChunkTask]): TileResult = {
-    val keys = g.keys
-
-    val mapTasks = ins.zipWithIndex.map { case (c, r) =>
-      task(s"GroupbyAgg::map[$r]", Stage.Map, (r, 0), Vector(c), dfs => {
-        val exprs = AggSpec.mapExprs(g.aggs)
-        dfs.head.drop(Cols.RowId).groupBy(keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
-      })
-    }
-
-    def finalize(df: DataFrame): DataFrame = df.select(AggSpec.finalExprs(keys, g.aggs): _*)
-    def mergeAgg(dfs: Seq[DataFrame]): DataFrame = {
-      val exprs = AggSpec.mergeExprs(g.aggs)
-      concat(dfs).groupBy(keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
-    }
-
-    def treeReduce(): Vector[ChunkTask] = {
-      stats.treeReduces += 1
-      var level = mapTasks
-      var depth = 0
-      // Auto merge (§IV-C): concatenate map outputs up to the fan-in
-      // limit per combine node until one chunk remains.
-      while (level.size > 1) {
-        depth += 1
-        val fanIn = if (config.combineStage) Engine.CombineFanIn else level.size
-        level = level.grouped(fanIn).toVector.zipWithIndex.map { case (grp, r) =>
-          if (grp.size == 1) grp.head
-          else task(s"GroupbyAgg::combine$depth[$r]", Stage.Combine, (r, 0), grp, mergeAgg)
-        }
-      }
-      Vector(task("GroupbyAgg::agg[0]", Stage.Reduce, (0, 0), level, dfs => finalize(
-        if (level.head.stage == Stage.Map) mergeAgg(dfs) else dfs.head)))
-    }
-
-    def shuffleReduce(nReducers: Int): Vector[ChunkTask] = {
-      stats.shuffleReduces += 1
-      val r = math.max(2, nReducers)
-      val buckets = mapTasks.map { m =>
-        (0 until r).toVector.map { b =>
-          task(s"GroupbyAgg::bucket[${m.index._1},$b]", Stage.Map, (b, 0), Vector(m),
-            dfs => dfs.head.filter(pmod(hash(keys.map(col): _*), lit(r)) === b))
-        }
-      }
-      (0 until r).toVector.map { b =>
-        task(s"GroupbyAgg::agg[$b]", Stage.Reduce, (b, 0), buckets.map(_(b)),
-          dfs => finalize(mergeAgg(dfs)))
-      }
-    }
-
-    if (keys.isEmpty) {
-      // Global aggregate: nothing to bucket on — always tree-reduce.
-      Tiled(treeReduce())
-    } else if (!config.dynamicTiling) {
-      // Static planning: reducer count fixed from the initial chunk count.
-      Tiled(shuffleReduce(math.min(config.staticReducers, math.max(2, ins.size))))
-    } else {
-      // Dynamic tiling: run the first few map chunks, read their actual
-      // aggregated size from the meta service, then pick the reduce plan.
-      val sample = mapTasks.take(Engine.SampleChunks)
-      NeedExec(sample, () => {
-        val metas = sample.flatMap(metaOf)
-        val avgBytes = if (metas.isEmpty) 0.0 else metas.map(_.bytes).sum.toDouble / metas.size
-        val estTotal = (avgBytes * mapTasks.size).toLong
-        if (estTotal <= config.treeReduceThreshold) Tiled(treeReduce())
-        else {
-          val r = (estTotal / math.max(1L, config.chunkSizeLimit)).toInt + 1
-          Tiled(shuffleReduce(math.min(math.max(2, r), 64)))
-        }
-      })
-    }
+    def byKeys(df: DataFrame, exprs: Seq[Column]): DataFrame =
+      df.groupBy(g.keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
+    mapReduce("GroupbyAgg", ins, Option.when(g.keys.nonEmpty)(g.keys))(
+      map = df => byKeys(df.drop(Cols.RowId), AggSpec.mapExprs(g.aggs)),
+      merge = dfs => byKeys(concat(dfs), AggSpec.mergeExprs(g.aggs)),
+      finish = _.select(AggSpec.finalExprs(g.keys, g.aggs): _*))
   }
 
-  // -- Merge: broadcast vs hash-shuffle, auto skew avoidance -------------
+  private def tileDistinct(d: DistinctOp, ins: Vector[ChunkTask]): TileResult = {
+    def dedup(df: DataFrame): DataFrame = {
+      val u = df.drop(Cols.RowId)
+      if (d.subset.isEmpty) u.dropDuplicates() else u.dropDuplicates(d.subset)
+    }
+    mapReduce("Distinct", ins, Some(d.subset))(map = dedup, merge = dfs => dedup(concat(dfs)), finish = identity)
+  }
+
+  // -- Merge: broadcast vs hash-shuffle ----------------------------------
 
   private def tileMerge(m: MergeOp, left: Vector[ChunkTask], right: Vector[ChunkTask]): TileResult = {
     val on = m.on
@@ -264,64 +294,36 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       stats.broadcastMerges += 1
       val concatSmall =
         if (small.size == 1) small.head
-        else task("Merge::concatSmall[0]", Stage.Other, (0, 0), small, concat)
+        else task("Merge::concatSmall[0]", small, concat)
       big.zipWithIndex.map { case (b, r) =>
-        task(s"Merge::join[$r]", Stage.Reduce, (r, 0), Vector(b, concatSmall), dfs =>
+        task(s"Merge::join[$r]", Vector(b, concatSmall), dfs =>
           if (smallLeft) joinCompute(broadcast(dfs(1)), dfs(0))
           else joinCompute(dfs(0), broadcast(dfs(1))))
       }
     }
 
-    def shuffleMerge(nReducers: Int): Vector[ChunkTask] = {
+    def shuffleMerge(r: Int): Vector[ChunkTask] = {
       stats.shuffleMerges += 1
-      val r = math.max(2, nReducers)
-      def bucketSide(side: Vector[ChunkTask], tag: String) = side.map { c =>
-        (0 until r).toVector.map { b =>
-          task(s"Merge::bucket$tag[${c.index._1},$b]", Stage.Map, (b, 0), Vector(c),
-            dfs => dfs.head.filter(pmod(hash(on.map(col): _*), lit(r)) === b))
-        }
-      }
-      val lb = bucketSide(left, "L"); val rb = bucketSide(right, "R")
+      val lb = hashBuckets("Merge::bucketL", left, on, r)
+      val rb = hashBuckets("Merge::bucketR", right, on, r)
       val nl = left.size
-      (0 until r).toVector.map { b =>
-        val inputsB = lb.map(_(b)) ++ rb.map(_(b))
-        task(s"Merge::join[$b]", Stage.Reduce, (b, 0), inputsB, dfs => {
-          val l = concat(dfs.take(nl).map(_.drop(Cols.RowId)))
-          val rr = concat(dfs.drop(nl).map(_.drop(Cols.RowId)))
-          joinCompute(l, rr)
-        })
+      lb.zip(rb).zipWithIndex.map { case ((l, rr), b) =>
+        task(s"Merge::join[$b]", l ++ rr, dfs => joinCompute(concat(dfs.take(nl)), concat(dfs.drop(nl))))
       }
     }
 
-    if (m.how == "cross")
-      return Tiled(broadcastMerge(left, right, smallLeft = false))
-
-    if (!config.dynamicTiling) {
-      // Static planning: always hash-shuffle, R from initial chunk counts.
-      Tiled(shuffleMerge(math.min(config.staticReducers, math.max(2, math.max(left.size, right.size)))))
-    } else {
-      val sample = left.take(Engine.SampleChunks) ++ right.take(Engine.SampleChunks)
-      NeedExec(sample, () => {
-        def estSide(side: Vector[ChunkTask]): Long = {
-          val ms = side.take(Engine.SampleChunks).flatMap(metaOf)
-          if (ms.isEmpty) Long.MaxValue
-          else (ms.map(_.bytes).sum.toDouble / ms.size * side.size).toLong
-        }
-        val el = estSide(left); val er = estSide(right)
-        // Broadcasting the LEFT side is only sound for inner joins: for
-        // left/leftsemi/leftanti the output must stay partitioned by the
-        // left chunks (each right chunk would otherwise see a partial
-        // right table and duplicate or drop left rows).
-        val canBroadcastLeft = m.how == "inner" && el <= config.broadcastThreshold
-        if (er <= config.broadcastThreshold && (er <= el || !canBroadcastLeft)) {
-          Tiled(broadcastMerge(left, right, smallLeft = false))
-        } else if (canBroadcastLeft) {
-          Tiled(broadcastMerge(right, left, smallLeft = true))
-        } else {
-          val r = ((el + er) / math.max(1L, config.chunkSizeLimit)).toInt + 1
-          Tiled(shuffleMerge(math.min(math.max(2, r), 64)))
-        }
-      })
+    if (m.how == "cross") Tiled(broadcastMerge(left, right, smallLeft = false))
+    else if (!config.dynamicTiling) Tiled(shuffleMerge(staticReducers(math.max(left.size, right.size))))
+    else measured(left, right) { case Seq(el, er) =>
+      // Broadcasting the LEFT side is only sound for inner joins: for
+      // left/leftsemi/leftanti the output must stay partitioned by the
+      // left chunks (each right chunk would otherwise see a partial
+      // right table and duplicate or drop left rows).
+      val canBroadcastLeft = m.how == "inner" && el <= config.broadcastThreshold
+      if (er <= config.broadcastThreshold && (er <= el || !canBroadcastLeft))
+        Tiled(broadcastMerge(left, right, smallLeft = false))
+      else if (canBroadcastLeft) Tiled(broadcastMerge(right, left, smallLeft = true))
+      else Tiled(shuffleMerge(reducers(el + er)))
     }
   }
 
@@ -332,39 +334,31 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       throw new UnsupportedOperationException(
         "iloc/head requires dynamic tiling (static engines cannot position rows)")
     NeedExec(ins, () => {
-      val counts = ins.map(t => metaOf(t).map(_.rows).getOrElse(0L))
-      val offsets = counts.scanLeft(0L)(_ + _)
+      val offsets = ins.map(t => metaOf(t).map(_.rows).getOrElse(0L)).scanLeft(0L)(_ + _)
       val lo = i.start; val hi = i.start + i.count
-      val out = Vector.newBuilder[ChunkTask]
-      var r = 0
-      ins.indices.foreach { j =>
+      val chunks = ins.indices.toVector.flatMap { j =>
         val cLo = offsets(j); val cHi = offsets(j + 1)
         val s = math.max(lo, cLo); val e = math.min(hi, cHi)
-        if (s < e) {
+        if (s >= e) None
+        else if (s == cLo && e == cHi) Some(ins(j)) // the whole chunk
+        else {
+          // Positions within a chunk follow its row ids, which merges,
+          // aggregations and other reshuffles drop.
+          if (!storage.read(keyOf(ins(j))).columns.contains(Cols.RowId))
+            throw new UnorderedLineageException(
+              s"iloc needs row order inside chunk ${ins(j).label}, whose lineage lost it " +
+                "(sort_values first after shuffles)")
           val localLo = s - cLo; val localHi = e - cLo
-          val idx = r; r += 1
-          if (localLo == 0 && localHi == (cHi - cLo)) {
-            out += task(s"ILoc::pass[$idx]", Stage.Other, (idx, 0), Vector(ins(j)), dfs => dfs.head)
-          } else {
-            // Positions within a chunk follow its row ids, which merges,
-            // aggregations and other reshuffles drop.
-            if (!storage.read(keyOf(ins(j))).columns.contains(Cols.RowId))
-              throw new UnorderedLineageException(
-                s"iloc needs row order inside chunk ${ins(j).label}, whose lineage lost it " +
-                  "(sort_values first after shuffles)")
-            out += task(s"ILoc::slice[$idx]", Stage.Other, (idx, 0), Vector(ins(j)), dfs => {
-              val w = Window.orderBy(col(Cols.RowId))
-              dfs.head.withColumn("__rn", row_number().over(w))
-                .filter(col("__rn") > localLo && col("__rn") <= localHi)
-                .drop("__rn")
-            })
-          }
+          Some(task(s"ILoc::slice[$j]", Vector(ins(j)), dfs => {
+            val w = Window.orderBy(col(Cols.RowId))
+            dfs.head.withColumn("__rn", row_number().over(w))
+              .filter(col("__rn") > localLo && col("__rn") <= localHi)
+              .drop("__rn")
+          }))
         }
       }
-      val chunks = out.result()
       if (chunks.nonEmpty) Tiled(chunks)
-      else Tiled(Vector(task("ILoc::empty[0]", Stage.Other, (0, 0), Vector(ins.head),
-        dfs => dfs.head.limit(0))))
+      else Tiled(Vector(task("ILoc::empty[0]", Vector(ins.head), dfs => dfs.head.limit(0))))
     })
   }
 
@@ -372,7 +366,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private def tileSort(s: SortOp, ins: Vector[ChunkTask]): TileResult = {
     val sortCols = s.by.zip(s.ascending).map { case (c, asc) => if (asc) col(c).asc else col(c).desc }
-    val sorted = task("Sort::global[0]", Stage.Reduce, (0, 0), ins, dfs => {
+    val sorted = task("Sort::global[0]", ins, dfs => {
       Reindex.withRowId(concat(dfs.map(_.drop(Cols.RowId))).orderBy(sortCols: _*))
     })
     NeedExec(Vector(sorted), () => {
@@ -384,7 +378,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         val chunks = (0 until nChunks).toVector.flatMap { r =>
           val lo = r * per; val hi = math.min(meta.rows, lo + per)
           if (lo >= hi) None
-          else Some(task(s"Sort::split[$r]", Stage.Other, (r, 0), Vector(sorted),
+          else Some(task(s"Sort::split[$r]", Vector(sorted),
             dfs => dfs.head.filter(col(Cols.RowId) >= lo && col(Cols.RowId) < hi)))
         }
         Tiled(chunks)
@@ -392,48 +386,11 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     })
   }
 
-  // -- Distinct ----------------------------------------------------------
-
-  private def tileDistinct(d: DistinctOp, ins: Vector[ChunkTask]): TileResult = {
-    def dedup(df: DataFrame): DataFrame = {
-      val u = df.drop(Cols.RowId)
-      if (d.subset.isEmpty) u.dropDuplicates() else u.dropDuplicates(d.subset)
-    }
-    // Per-chunk pre-dedup (map), then bucketed global dedup (reduce).
-    val mapTasks = ins.zipWithIndex.map { case (c, r) =>
-      task(s"Distinct::map[$r]", Stage.Map, (r, 0), Vector(c), dfs => dedup(dfs.head))
-    }
-    if (mapTasks.size == 1) return Tiled(mapTasks)
-    val r = math.max(2, math.min(ins.size, config.staticReducers))
-    val buckets = mapTasks.map { mt =>
-      (0 until r).toVector.map { b =>
-        task(s"Distinct::bucket[${mt.index._1},$b]", Stage.Map, (b, 0), Vector(mt), dfs => {
-          val df = dfs.head
-          val cols0 = if (d.subset.isEmpty) df.columns.toSeq.filterNot(_ == Cols.RowId) else d.subset
-          df.filter(pmod(hash(cols0.map(col): _*), lit(r)) === b)
-        })
-      }
-    }
-    Tiled((0 until r).toVector.map { b =>
-      task(s"Distinct::agg[$b]", Stage.Reduce, (b, 0), buckets.map(_(b)),
-        dfs => dedup(concat(dfs)))
-    })
-  }
-
   // -- Pivot: non-relational reshape, single output chunk ----------------
 
   private def tilePivot(p: PivotOp, ins: Vector[ChunkTask]): TileResult =
-    Tiled(Vector(task("Pivot[0]", Stage.Reduce, (0, 0), ins, dfs => {
-      val g = concat(dfs.map(_.drop(Cols.RowId))).groupBy(col(p.index)).pivot(p.columns)
-      p.aggfunc match {
-        case "sum"   => g.sum(p.values)
-        case "mean"  => g.avg(p.values)
-        case "count" => g.count()
-        case "min"   => g.min(p.values)
-        case "max"   => g.max(p.values)
-        case other   => throw new UnsupportedOperationException(s"pivot aggfunc $other")
-      }
-    })))
+    Tiled(Vector(task("Pivot[0]", ins, dfs =>
+      p.aggregate(concat(dfs.map(_.drop(Cols.RowId))).groupBy(col(p.index)).pivot(p.columns)))))
 
   // ---------------------------------------------------------------------
   // Execution: fuse → schedule → run subtasks → store exposed chunks
@@ -645,7 +602,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   def collect(t: Tileable): DataFrame = {
     val chunks = tile(t)
     execute(chunks)
-    val dfs = chunks.sortBy(_.index).map(c => storage.get(keyOf(c), 0))
+    val dfs = chunks.map(c => storage.get(keyOf(c), 0))
     val all = dfs.reduce(_ unionByName _)
     if (all.columns.contains(Cols.RowId)) all.drop(Cols.RowId) else all
   }
@@ -717,6 +674,8 @@ object Engine {
   val SampleChunks = 2
   /** Fan-in of one combine node in tree reduce (§IV-C auto merge). */
   val CombineFanIn = 4
+  /** Most reducers a measured shuffle reduce or merge uses. */
+  val MaxReducers = 64
 
   /** Concatenate chunk fragments into one chunk. A union has one
     * partition per input; coalescing (no shuffle) keeps the chunk one

@@ -47,9 +47,14 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
 
   def groupby(keys: String*): XGroupBy = new XGroupBy(this, keys)
 
-  /** pandas merge; `how` ∈ inner, left, leftsemi, leftanti. */
+  /** pandas merge; `how` ∈ inner, left, leftsemi, leftanti (`crossMerge`
+    * for a cross join). Other joins would emit a broadcast right side's
+    * unmatched rows once per left chunk, so they are rejected.
+    */
   def merge(right: XFrame, on: Seq[String], how: String = "inner"): XFrame = {
     require(right.engine eq engine, "cannot merge frames from different engines")
+    require(XFrame.MergeHows.contains(how),
+      s"merge how '$how' is not one of ${XFrame.MergeHows.mkString(", ")}")
     derive(MergeOp(on, how), Vector(tileable, right.tileable))
   }
 
@@ -112,6 +117,9 @@ final class XGroupBy private[repro] (frame: XFrame, keys: Seq[String]) {
 }
 
 object XFrame {
+
+  /** The `how` values `merge` accepts. */
+  private val MergeHows: Seq[String] = Seq("inner", "left", "leftsemi", "leftanti")
 
   /** Register a named input table with the engine (the read_parquet
     * analog — the source is chunked on first tiling).

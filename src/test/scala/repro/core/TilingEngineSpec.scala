@@ -87,23 +87,34 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
+  /** A groupby over `src` and a drop_duplicates of its `distinctCols`,
+    * each with its Spark reference: both tile to map-combine-reduce.
+    */
+  private def reductions(src: DataFrame, distinctCols: Seq[String]): Seq[(String, XFrame => XFrame, DataFrame)] =
+    Seq(
+      ("groupby", _.groupby("k").agg(SumAgg("v", "sv")), src.groupBy("k").agg(sum("v") as "sv")),
+      ("drop_duplicates", _.select(distinctCols: _*).dropDuplicates(),
+        src.select(distinctCols.map(col): _*).distinct()))
+
   test("small aggregated size selects tree-reduce, with at least one tiling switch") {
-    withEngine(cfg()) { e =>
-      val got = XFrame.source(e, "t", keys(20000))
-        .groupby("k").agg(SumAgg("v", "sv")).toDF()
-      assert(e.stats.treeReduces == 1 && e.stats.shuffleReduces == 0)
-      assert(e.stats.tileExecSwitches >= 1, "dynamic tiling must have yielded to execution")
-      assertSameSet(got, keys(20000).groupBy("k").agg(sum("v") as "sv"))
+    // 40 keys: both reduce to at most 80 rows.
+    val src = keys(20000).withColumn("b", col("v") < 0.5)
+    for ((what, op, want) <- reductions(src, Seq("k", "b"))) withEngine(cfg()) { e =>
+      val got = op(XFrame.source(e, "t", src)).toDF()
+      assert(e.stats.treeReduces == 1 && e.stats.shuffleReduces == 0, s"$what: ${e.stats}")
+      assert(e.stats.tileExecSwitches >= 1, s"$what: dynamic tiling must have yielded to execution")
+      assertSameSet(got, want)
     }
   }
 
   test("large aggregated size selects shuffle-reduce") {
     // Nearly-unique keys: aggregated size ≈ input size ≫ tree threshold.
     val src = SynthData.uniformKeys(spark, 20000, 1000000, seed = 6)
-    withEngine(cfg(limit = 32 << 10)) { e =>
-      val got = XFrame.source(e, "t", src).groupby("k").agg(SumAgg("v", "sv")).toDF()
-      assert(e.stats.shuffleReduces == 1, s"expected shuffle-reduce: ${e.stats}")
-      assertSameSet(got, src.groupBy("k").agg(sum("v") as "sv"))
+    for ((what, op, want) <- reductions(src, Seq("k", "v"))) withEngine(cfg(limit = 32 << 10)) { e =>
+      val got = op(XFrame.source(e, "t", src)).toDF()
+      assert(e.stats.shuffleReduces == 1 && e.stats.treeReduces == 0, s"$what: expected shuffle-reduce: ${e.stats}")
+      assert(e.stats.tileExecSwitches >= 1, s"$what: dynamic tiling must have yielded to execution")
+      assertSameSet(got, want)
     }
   }
 
@@ -183,6 +194,18 @@ class TilingEngineSpec extends SparkSpec {
         val got = XFrame.source(e, "a", a).merge(XFrame.source(e, "dim", dim), Seq("k"), how).toDF()
         assertSameSet(got, a.join(dim, Seq("k"), how))
       }
+    }
+  }
+
+  test("merge rejects a join it cannot tile, naming it; crossMerge still works") {
+    withEngine(cfg()) { e =>
+      val a = XFrame.source(e, "a", keys(100)); val b = XFrame.source(e, "b", keys(10))
+      // A broadcast right side would emit its unmatched rows once per left chunk.
+      for (how <- Seq("outer", "full", "right", "cross")) {
+        val err = intercept[IllegalArgumentException](a.merge(b, Seq("k"), how))
+        assert(err.getMessage.contains(s"'$how'"), err.getMessage)
+      }
+      assert(a.crossMerge(b.groupby().agg(CountAgg("n"))).count() == 100)
     }
   }
 
@@ -306,6 +329,39 @@ class TilingEngineSpec extends SparkSpec {
     withEngine(cfg()) { e =>
       val got = XFrame.source(e, "p", src).pivotTable("r", "c", "v", "sum").toDF()
       assertSameSet(got, src.groupBy("r").pivot("c").sum("v"))
+    }
+  }
+
+  test("pivot table rejects an unknown aggfunc when the frame is built") {
+    withEngine(cfg()) { e =>
+      val f = XFrame.source(e, "p", keys(100))
+      val err = intercept[IllegalArgumentException](f.pivotTable("k", "k", "v", "median"))
+      assert(err.getMessage.contains("'median'"), err.getMessage)
+      assert(e.stats.subtasksExecuted == 0, "nothing may run")
+    }
+  }
+
+  test("concat and a whole-chunk iloc reuse their input chunks: nothing stored, rows in order") {
+    val a = keys(5000) // 2 chunks at 64 KiB
+    val b = SynthData.uniformKeys(spark, 3000, 40, seed = 9)
+    withEngine(cfg()) { e =>
+      val fa = XFrame.source(e, "a", a); val fb = XFrame.source(e, "b", b)
+      fa.toDF(); fb.toDF()
+      val aChunks = e.tile(fa.tileable)
+      assert(aChunks.size == 2)
+      val firstRows = e.metaOf(aChunks.head).get.rows
+      val puts = e.storage.stats.puts
+      val both = fa.concat(fb)
+      assertSameRows(both.toDF().collect(), a.unionByName(b).collect())
+      val first = fa.ilocRange(0, firstRows).toDF().collect()
+      assert(e.storage.stats.puts == puts, "concat and a whole-chunk slice must store nothing")
+      val aRows = a.collect()
+      assert(first.map(_.toSeq).sameElements(aRows.take(firstRows.toInt).map(_.toSeq)))
+      // Two rows on each side of the concat boundary, in row order.
+      val k = aRows.length
+      val across = both.ilocRange(k - 2, k + 2).toDF().collect()
+      val want = (aRows ++ b.collect()).slice(k - 2, k + 2)
+      assert(across.map(_.toSeq).sameElements(want.map(_.toSeq)))
     }
   }
 
