@@ -31,15 +31,7 @@ object SchemaBytes {
     case _                            => 16L
   }
 
-  /** Estimated width of one row, excluding engine-internal columns. */
-  def rowWidth(schema: StructType): Long = {
-    val user = schema.fields.filterNot(_.name == Cols.RowId)
-    math.max(1L, user.map(f => fieldWidth(f.dataType)).sum)
-  }
-}
-
-/** Engine-internal column names. */
-object Cols {
-  /** Hidden global row id carried by ordered chunks (distributed index). */
-  val RowId = "__rowid"
+  /** Estimated width of one row. */
+  def rowWidth(schema: StructType): Long =
+    math.max(1L, schema.fields.map(f => fieldWidth(f.dataType)).sum)
 }

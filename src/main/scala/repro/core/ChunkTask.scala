@@ -7,9 +7,11 @@ import org.apache.spark.sql.DataFrame
   *
   * Circles in the paper's figures are these tasks; squares (chunks) are
   * the tasks' outputs, identified by the task id in the storage service.
-  * A task carries no index of its own: the row index of a chunk in a
-  * tileable (the paper's distributed index, Fig 4) is its position in
-  * the tileable's `Engine.tile` result.
+  * A task carries no index of its own, and its rows carry no row ids:
+  * the row index of a chunk in a tileable (the paper's distributed index,
+  * Fig 4) is its position in the tileable's `Engine.tile` result, and a
+  * row's position inside the chunk is its position in the chunk's one
+  * stored Spark partition (see `ordered`).
   *
   * @param id      unique id within an engine (also the storage key)
   * @param label   human-readable operator label, e.g. "GroupbyAgg::map[3]"
@@ -19,13 +21,19 @@ import org.apache.spark.sql.DataFrame
   *                only through the storage service)
   * @param narrow  set iff the task is a narrow pipeline (enables
   *                operator-level fusion across adjacent narrow tasks)
+  * @param ordered the chunk's one stored partition holds its rows in the
+  *                frame's row order, so `iloc` may cut rows out of it by
+  *                position: source slices, sort and iloc slices, and
+  *                narrow tasks over such a chunk. Reduces, joins and
+  *                pivots emit their rows in no defined order.
   */
 final class ChunkTask(
     val id: Long,
     val label: String,
     val inputs: Vector[ChunkTask],
     val compute: Seq[DataFrame] => DataFrame,
-    val narrow: Option[NarrowPipe] = None,
+    val narrow: Option[NarrowPipe],
+    val ordered: Boolean,
 ) {
   override def toString: String = s"ChunkTask($id, $label)"
   override def hashCode(): Int = id.hashCode()

@@ -17,7 +17,7 @@ object NarrowStep {
   final case class SelectStep(cols: Seq[String]) extends NarrowStep
   /** Add / replace columns (pandas `assign`). Applied left-to-right. */
   final case class WithColsStep(cols: Seq[(String, Column)]) extends NarrowStep
-  /** Drop columns (ignores missing, never drops the hidden row id). */
+  /** Drop columns (ignores missing). */
   final case class DropStep(cols: Seq[String]) extends NarrowStep
   /** Rename columns (pandas `rename(columns=…)`). */
   final case class RenameStep(mapping: Map[String, String]) extends NarrowStep
@@ -87,14 +87,12 @@ final case class NarrowPipe(steps: Vector[NarrowStep]) {
 
   private def applyStep(df: DataFrame, s: NarrowStep): DataFrame = s match {
     case FilterStep(c) => df.filter(c)
-    case SelectStep(cols) =>
-      val keep = if (df.columns.contains(Cols.RowId)) cols :+ Cols.RowId else cols
-      df.select(keep.map(col): _*)
+    case SelectStep(cols) => df.select(cols.map(col): _*)
     case WithColsStep(cs) => df.withColumns(cs.toMap)
-    case DropStep(cs) => df.drop(cs.filterNot(_ == Cols.RowId): _*)
+    case DropStep(cs) => df.drop(cs: _*)
     case RenameStep(m) => df.withColumnsRenamed(m)
     case FillNaStep(v, cols) =>
-      val targets = if (cols.isEmpty) df.columns.filterNot(_ == Cols.RowId).toSeq else cols
+      val targets = if (cols.isEmpty) df.columns.toSeq else cols
       v match {
         case d: Double => df.na.fill(d, targets)
         case l: Long   => df.na.fill(l, targets)

@@ -6,8 +6,9 @@ import org.apache.spark.sql.{DataFrame, RelationalGroupedDataset}
   *
   * Each user-facing API call becomes one of these nodes; the tiling
   * engine later expands each node into chunk tasks in row order (`tile`
-  * method analog; a chunk's row index is its position in that list),
-  * possibly pausing for execution (dynamic tiling, §IV).
+  * method analog; a chunk's row index is its position in that list, and
+  * a row's position within a chunk is its position in the chunk's one
+  * partition), possibly pausing for execution (dynamic tiling, §IV).
   */
 sealed trait TileableOp {
   /** Short operator name used in labels, stats and profiles. */

@@ -6,11 +6,9 @@ import scala.annotation.tailrec
 import scala.collection.mutable
 import scala.util.{Failure, Success, Try}
 
-import org.apache.spark.sql.{classic, Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{classic, Column, DataFrame, SparkSession}
 import org.apache.spark.sql.execution.SQLExecution
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
 import org.apache.spark.storage.{StorageLevel => SparkLevel}
 
 import repro.fusion.{Dag, Subtask, SubtaskGraph}
@@ -31,7 +29,9 @@ object TileResult {
 }
 
 /** Raised at tile time when `iloc` or `head` must cut rows out of a chunk
-  * that carries no row ids, so that positions within it are undefined.
+  * whose rows are in no defined order (the output of a reduce, join or
+  * pivot: see `ChunkTask.ordered`), so that positions within it are
+  * undefined.
   */
 final class UnorderedLineageException(message: String) extends IllegalArgumentException(message)
 
@@ -52,7 +52,7 @@ final class UnorderedLineageException(message: String) extends IllegalArgumentEx
   * care (see `tileMerge`).
   */
 final class Engine(val spark: SparkSession, val config: EngineConfig) {
-  import Engine.{concat, Access, Fill, Read, SubtaskRun}
+  import Engine.{concat, rowRange, Access, Fill, Read, SubtaskRun}
   import TileResult._
   import TileableOp._
 
@@ -62,7 +62,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private val idGen = new AtomicLong(0)
   private val tiledCache = new java.util.IdentityHashMap[Tileable, Vector[ChunkTask]]()
-  private val materialized = mutable.Set[Long]()
   private val sourceCache = mutable.LinkedHashMap[String, (DataFrame, Long)]()
 
   // ---------------------------------------------------------------------
@@ -74,14 +73,16 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       inputs: Vector[ChunkTask],
       compute: Seq[DataFrame] => DataFrame,
       narrow: Option[NarrowPipe] = None,
-  ): ChunkTask = new ChunkTask(idGen.incrementAndGet(), label, inputs, compute, narrow)
+      ordered: Boolean = false,
+  ): ChunkTask = new ChunkTask(idGen.incrementAndGet(), label, inputs, compute, narrow, ordered)
 
-  private def keyOf(t: ChunkTask): String = s"c${t.id}"
+  private[core] def keyOf(t: ChunkTask): String = s"c${t.id}"
 
   /** Metadata of a materialized task's chunk, if available (meta service). */
   def metaOf(t: ChunkTask): Option[ChunkMeta] = storage.meta(keyOf(t))
 
-  def isMaterialized(t: ChunkTask): Boolean = materialized.contains(t.id)
+  /** The task's chunk is in the storage service. */
+  def isMaterialized(t: ChunkTask): Boolean = storage.contains(keyOf(t))
 
   // ---------------------------------------------------------------------
   // Tiling (graph construction), with dynamic switches to execution
@@ -163,7 +164,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       (0 until n).toVector.map { b =>
         task(s"$label[$m,$b]", Vector(c), dfs => {
           val df = dfs.head
-          val on = if (keys.isEmpty) df.columns.toSeq.filterNot(_ == Cols.RowId) else keys
+          val on = if (keys.isEmpty) df.columns.toSeq else keys
           df.filter(pmod(hash(on.map(col): _*), lit(n)) === b)
         })
       }
@@ -224,23 +225,36 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   // -- Source ------------------------------------------------------------
 
+  /** Split `rows` rows into `n` even row ranges: task `label[r]` is rows
+    * [lo, hi) of the one-partition chunk that `whole` builds from its
+    * inputs' chunks, in that chunk's row order. Empty ranges get no task.
+    */
+  private def splitRows(label: String, inputs: Vector[ChunkTask], rows: Long, n: Int)(
+      whole: Seq[DataFrame] => DataFrame,
+  ): Vector[ChunkTask] = {
+    val per = math.max(1L, (rows + n - 1) / n)
+    (0 until n).toVector.flatMap { r =>
+      val lo = r * per; val hi = math.min(rows, lo + per)
+      Option.when(lo < hi)(task(s"$label[$r]", inputs, dfs => rowRange(whole(dfs), lo, hi), ordered = true))
+    }
+  }
+
   private def tileSource(s: SourceOp): TileResult = {
     val (indexed, rows) = sourceCache.getOrElseUpdate(s.sourceName, {
-      val ind = Reindex.withRowId(s.df).persist(SparkLevel.MEMORY_AND_DISK)
+      // Through an RDD, so that each chunk plan's leaf is one
+      // `Scan ExistingRDD`, whatever plan built the source.
+      val ind = spark.createDataFrame(s.df.rdd, s.df.schema).persist(SparkLevel.MEMORY_AND_DISK)
       // Counted as `StorageService.putFill` counts: one job, no exchange.
       val rows = ind.queryExecution.toRdd
       (ind, spark.sparkContext.runJob(rows, StorageService.countRows, rows.partitions.indices).sum)
     })
     val bytes = rows * SchemaBytes.rowWidth(s.df.schema)
     val nChunks = math.max(1L, (bytes + config.chunkSizeLimit - 1) / config.chunkSizeLimit).toInt
-    val per = math.max(1L, (rows + nChunks - 1) / nChunks)
-    val chunks = (0 until nChunks).toVector.flatMap { r =>
-      val lo = r * per; val hi = math.min(rows, lo + per)
-      if (lo >= hi && r > 0) None
-      else Some(task(s"Read(${s.sourceName})[$r]", Vector.empty,
-        _ => indexed.filter(col(Cols.RowId) >= lo && col(Cols.RowId) < hi).coalesce(1)))
-    }
-    Tiled(chunks)
+    val label = s"Read(${s.sourceName})"
+    // Coalescing the persisted source reads its partitions in order.
+    Tiled(
+      if (nChunks == 1) Vector(task(s"$label[0]", Vector.empty, _ => indexed.coalesce(1), ordered = true))
+      else splitRows(label, Vector.empty, rows, nChunks)(_ => indexed.coalesce(1)))
   }
 
   // -- Narrow ------------------------------------------------------------
@@ -249,7 +263,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     Tiled(ins.zipWithIndex.map { case (c, r) =>
       task(s"${nop.label}[$r]", Vector(c),
         dfs => nop.pipe(dfs.head, fused = config.operatorFusion),
-        narrow = Some(nop.pipe))
+        narrow = Some(nop.pipe), ordered = c.ordered)
     })
 
   // -- GroupbyAgg and Distinct: map → (combine)* or → shuffle ------------
@@ -258,16 +272,14 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     def byKeys(df: DataFrame, exprs: Seq[Column]): DataFrame =
       df.groupBy(g.keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
     mapReduce("GroupbyAgg", ins, Option.when(g.keys.nonEmpty)(g.keys))(
-      map = df => byKeys(df.drop(Cols.RowId), AggSpec.mapExprs(g.aggs)),
+      map = byKeys(_, AggSpec.mapExprs(g.aggs)),
       merge = dfs => byKeys(concat(dfs), AggSpec.mergeExprs(g.aggs)),
       finish = _.select(AggSpec.finalExprs(g.keys, g.aggs): _*))
   }
 
   private def tileDistinct(d: DistinctOp, ins: Vector[ChunkTask]): TileResult = {
-    def dedup(df: DataFrame): DataFrame = {
-      val u = df.drop(Cols.RowId)
-      if (d.subset.isEmpty) u.dropDuplicates() else u.dropDuplicates(d.subset)
-    }
+    def dedup(df: DataFrame): DataFrame =
+      if (d.subset.isEmpty) df.dropDuplicates() else df.dropDuplicates(d.subset)
     mapReduce("Distinct", ins, Some(d.subset))(map = dedup, merge = dfs => dedup(concat(dfs)), finish = identity)
   }
 
@@ -277,11 +289,10 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     val on = m.on
 
     def joinCompute(l: DataFrame, r: DataFrame): DataFrame = {
-      val lu = l.drop(Cols.RowId); val ru = r.drop(Cols.RowId)
-      if (m.how == "cross") return lu.crossJoin(ru)
-      val overlap = (lu.columns.toSet intersect ru.columns.toSet) -- on.toSet
-      val lr = overlap.foldLeft(lu)((d, c) => d.withColumnRenamed(c, s"${c}_x"))
-      val rr = overlap.foldLeft(ru)((d, c) => d.withColumnRenamed(c, s"${c}_y"))
+      if (m.how == "cross") return l.crossJoin(r)
+      val overlap = (l.columns.toSet intersect r.columns.toSet) -- on.toSet
+      val lr = overlap.foldLeft(l)((d, c) => d.withColumnRenamed(c, s"${c}_x"))
+      val rr = overlap.foldLeft(r)((d, c) => d.withColumnRenamed(c, s"${c}_y"))
       lr.join(rr, on, m.how)
     }
 
@@ -342,19 +353,13 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         if (s >= e) None
         else if (s == cLo && e == cHi) Some(ins(j)) // the whole chunk
         else {
-          // Positions within a chunk follow its row ids, which merges,
-          // aggregations and other reshuffles drop.
-          if (!storage.read(keyOf(ins(j))).columns.contains(Cols.RowId))
+          // Positions within a chunk are those of its one stored
+          // partition, which are the frame's only if the chunk is ordered.
+          if (!ins(j).ordered)
             throw new UnorderedLineageException(
               s"iloc needs row order inside chunk ${ins(j).label}, whose lineage lost it " +
                 "(sort_values first after shuffles)")
-          val localLo = s - cLo; val localHi = e - cLo
-          Some(task(s"ILoc::slice[$j]", Vector(ins(j)), dfs => {
-            val w = Window.orderBy(col(Cols.RowId))
-            dfs.head.withColumn("__rn", row_number().over(w))
-              .filter(col("__rn") > localLo && col("__rn") <= localHi)
-              .drop("__rn")
-          }))
+          Some(task(s"ILoc::slice[$j]", Vector(ins(j)), dfs => rowRange(dfs.head, s - cLo, e - cLo), ordered = true))
         }
       }
       if (chunks.nonEmpty) Tiled(chunks)
@@ -362,27 +367,16 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     })
   }
 
-  // -- Sort: concat → global sort → reindex → resplit --------------------
+  // -- Sort: concat → global sort → resplit -------------------------------
 
   private def tileSort(s: SortOp, ins: Vector[ChunkTask]): TileResult = {
     val sortCols = s.by.zip(s.ascending).map { case (c, asc) => if (asc) col(c).asc else col(c).desc }
-    val sorted = task("Sort::global[0]", ins, dfs => {
-      Reindex.withRowId(concat(dfs.map(_.drop(Cols.RowId))).orderBy(sortCols: _*))
-    })
+    val sorted = task("Sort::global[0]", ins, dfs => concat(dfs).orderBy(sortCols: _*), ordered = true)
     NeedExec(Vector(sorted), () => {
       val meta = metaOf(sorted).get
       val nChunks = math.max(1L, meta.bytes / math.max(1L, config.chunkSizeLimit) + 1).toInt
       if (nChunks <= 1) Tiled(Vector(sorted))
-      else {
-        val per = math.max(1L, (meta.rows + nChunks - 1) / nChunks)
-        val chunks = (0 until nChunks).toVector.flatMap { r =>
-          val lo = r * per; val hi = math.min(meta.rows, lo + per)
-          if (lo >= hi) None
-          else Some(task(s"Sort::split[$r]", Vector(sorted),
-            dfs => dfs.head.filter(col(Cols.RowId) >= lo && col(Cols.RowId) < hi)))
-        }
-        Tiled(chunks)
-      }
+      else Tiled(splitRows("Sort::split", Vector(sorted), meta.rows, nChunks)(_.head))
     })
   }
 
@@ -390,7 +384,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private def tilePivot(p: PivotOp, ins: Vector[ChunkTask]): TileResult =
     Tiled(Vector(task("Pivot[0]", ins, dfs =>
-      p.aggregate(concat(dfs.map(_.drop(Cols.RowId))).groupBy(col(p.index)).pivot(p.columns)))))
+      p.aggregate(concat(dfs).groupBy(col(p.index)).pivot(p.columns)))))
 
   // ---------------------------------------------------------------------
   // Execution: fuse → schedule → run subtasks → store exposed chunks
@@ -563,10 +557,10 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   /** Record a run subtask, on the calling thread: replay its storage reads
     * and register its filled chunks (which may spill) in the order it made
-    * them, then update `materialized`, the counters and the trace. The
-    * LRU clock, spill victims, counters and trace are those of running
-    * the subtasks one after another in this order. Until its commit, a
-    * wave's filled chunks are outside the memory tier's budget.
+    * them, then update the counters and the trace. The LRU clock, spill
+    * victims, counters and trace are those of running the subtasks one
+    * after another in this order. Until its commit, a wave's filled chunks
+    * are outside the memory tier's budget.
     */
   private def commit(run: SubtaskRun): Unit = {
     var inputBytes = 0L
@@ -580,7 +574,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         storage.recordGet(keyOf(t), run.band)
       case Fill(t, filled) =>
         val meta = storage.putRegister(keyOf(t), filled, run.band)
-        materialized += t.id
         stats.chunksMaterialized += 1
         stats.bytesMaterialized += meta.bytes
         outputBytes += meta.bytes
@@ -602,9 +595,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   def collect(t: Tileable): DataFrame = {
     val chunks = tile(t)
     execute(chunks)
-    val dfs = chunks.map(c => storage.get(keyOf(c), 0))
-    val all = dfs.reduce(_ unionByName _)
-    if (all.columns.contains(Cols.RowId)) all.drop(Cols.RowId) else all
+    chunks.map(c => storage.get(keyOf(c), 0)).reduce(_ unionByName _)
   }
 
   /** Total rows of the tileable from chunk metadata alone. */
@@ -623,7 +614,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     sourceCache.values.foreach(_._1.unpersist(true))
     sourceCache.clear()
     tiledCache.clear()
-    materialized.clear()
   }
 }
 
@@ -682,18 +672,8 @@ object Engine {
     * partition.
     */
   def concat(dfs: Seq[DataFrame]): DataFrame = dfs.reduce(_ unionByName _).coalesce(1)
-}
 
-/** Row-id regeneration for order-producing operators (sort). */
-object Reindex {
-
-  /** Append a fresh global `__rowid` following the DataFrame's current
-    * (partition-major) order.
-    */
-  def withRowId(df: DataFrame): DataFrame = {
-    val base = if (df.columns.contains(Cols.RowId)) df.drop(Cols.RowId) else df
-    val schema = base.schema.add(Cols.RowId, LongType, nullable = false)
-    val rdd = base.rdd.zipWithIndex().map { case (r, i) => Row.fromSeq(r.toSeq :+ i) }
-    base.sparkSession.createDataFrame(rdd, schema)
-  }
+  /** Rows [lo, hi) of a one-partition chunk, in its row order. */
+  private def rowRange(df: DataFrame, lo: Long, hi: Long): DataFrame =
+    df.offset(Math.toIntExact(lo)).limit(Math.toIntExact(hi - lo))
 }

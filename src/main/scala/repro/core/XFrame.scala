@@ -38,10 +38,14 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
 
   def rename(mapping: (String, String)*): XFrame = narrow("Rename", RenameStep(mapping.toMap))
 
-  /** pandas fillna over the given columns (all user columns if empty). */
+  /** pandas fillna over the given columns (all columns if empty). */
   def fillna(value: Any, cols: String*): XFrame = narrow("FillNa", FillNaStep(value, cols))
 
-  /** Escape hatch: arbitrary chunk-local transformation. */
+  /** Escape hatch: arbitrary chunk-local transformation. Like the other
+    * narrow steps, it keeps its chunk's positions: `iloc` and `head` read
+    * `f`'s output rows in the order it emits them, so `f` should keep the
+    * row order of its input (projections, filters and column maps do).
+    */
   def mapChunks(label: String)(f: DataFrame => DataFrame): XFrame =
     narrow(label, FnStep(label, f))
 

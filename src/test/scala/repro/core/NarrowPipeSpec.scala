@@ -46,19 +46,6 @@ class NarrowPipeSpec extends SparkSpec {
     assert(unfused.filter(col("id") === 3).head().getAs[Long]("a2") == 40)
   }
 
-  test("select keeps the hidden row id when present") {
-    val base = Reindex.withRowId(df())
-    val out = NarrowPipe(Vector(SelectStep(Seq("id")))).apply(base, fused = true)
-    assert(out.columns.toSet == Set("id", Cols.RowId))
-  }
-
-  test("drop never removes the hidden row id") {
-    val base = Reindex.withRowId(df())
-    val out = NarrowPipe(Vector(DropStep(Seq("m", Cols.RowId)))).apply(base, fused = true)
-    assert(out.columns.contains(Cols.RowId))
-    assert(!out.columns.contains("m"))
-  }
-
   test("rename maps column names") {
     val out = NarrowPipe(Vector(RenameStep(Map("m" -> "mod10")))).apply(df(), fused = true)
     assert(out.columns.contains("mod10") && !out.columns.contains("m"))
@@ -85,7 +72,9 @@ class NarrowPipeSpec extends SparkSpec {
       WithColsStep(Seq("x" -> (col("id") * 3))),
       FilterStep(col("x") < 200),
       SelectStep(Seq("id", "x")),
-      RenameStep(Map("x" -> "y"))))
+      RenameStep(Map("x" -> "y")),
+      DropStep(Seq("id", "absent"))))
+    assert(pipe(df(), fused = true).columns.sameElements(Array("y")))
     val a = pipe(df(), fused = true).collect().map(_.toSeq).sortBy(_.toString)
     val b = pipe(df(), fused = false).collect().map(_.toSeq).sortBy(_.toString)
     assert(a.sameElements(b))

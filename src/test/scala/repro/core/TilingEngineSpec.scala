@@ -8,6 +8,7 @@ import org.apache.spark.sql.functions._
 import repro.{JobProbe, SparkSpec, SynthData}
 import repro.baseline.Engines
 import repro.core.AggSpec._
+import repro.storage.Tier
 
 /** Engine-level behavior: chunking, dynamic tiling switches, auto reduce
   * selection, broadcast-vs-shuffle merges, iterative iloc, fusion and
@@ -293,6 +294,71 @@ class TilingEngineSpec extends SparkSpec {
       val got = XFrame.source(e, "t", src).sortValues("v").iloc(5).toDF().collect()
       val want = src.orderBy("v").collect()(5)
       assert(got(0).getDouble(1) == want.getDouble(1))
+    }
+  }
+
+  /** 20,000 rows over 7 partitions: 5 chunks at 64 KiB, cut across
+    * partition boundaries.
+    */
+  private def sevenParts = spark.range(0, 20000, 1, 7).select(
+    (rand(7) * 40 + 1).cast("long") as "k", rand(8) as "v")
+
+  test("indexing a multi-partition source runs one Spark job; its chunks have the source's columns") {
+    val src = sevenParts
+    assert(src.rdd.getNumPartitions == 7)
+    withEngine(cfg()) { e =>
+      val f = XFrame.source(e, "t", src)
+      val (chunks, probe) = JobProbe(spark.sparkContext)(e.tile(f.tileable))
+      assert(probe.jobs == 1, s"indexing ran ${probe.jobs} Spark jobs")
+      assert(chunks.size == 5)
+      assert(f.toDF().collect().map(_.toSeq).sameElements(src.collect().map(_.toSeq)))
+      chunks.foreach(c => assert(e.storage.read(e.keyOf(c)).columns.sameElements(src.columns)))
+    }
+  }
+
+  test("iloc after a chunk-local function returns Spark's row at that position") {
+    val src = sevenParts
+    val want = src.collect()
+    withEngine(cfg()) { e =>
+      val f = XFrame.source(e, "t", src).mapChunks("proj")(_.select("k", "v"))
+      for (i <- Seq(0, 4321, 19999)) {
+        val got = f.iloc(i).toDF().collect()
+        assert(got.map(_.toSeq).sameElements(Array(want(i).toSeq)), s"row $i")
+      }
+    }
+  }
+
+  test("iloc across a sort-split boundary reads spilled chunks in sort order") {
+    val src = sevenParts
+    val limit = 64L << 10
+    val e = new Engine(spark, Engines.xorbits(spark, limit).config.copy(memoryBudget = limit / 2))
+    try {
+      val sorted = XFrame.source(e, "t", src).sortValues("v")
+      val splits = e.tile(sorted.tileable)
+      assert(splits.size > 1 && splits.forall(_.label.startsWith("Sort::split")))
+      sorted.count()
+      val k = e.metaOf(splits.head).get.rows
+      val got = sorted.ilocRange(k - 2, k + 2).toDF().collect()
+      val want = src.orderBy("v").collect().slice(k.toInt - 2, k.toInt + 2)
+      assert(got.map(_.toSeq).sameElements(want.map(_.toSeq)))
+      assert(e.storage.stats.spills > 0, e.storage.stats.toString)
+      assert(splits.take(2).forall(c => e.storage.tierOf(e.keyOf(c)).contains(Tier.Disk)),
+        "both cut chunks must have been read from the disk tier")
+    } finally e.reset()
+  }
+
+  test("a freed chunk is computed again by the next collect") {
+    val src = keys(20000)
+    val want = src.filter(col("v") < 0.5).collect()
+    withEngine(cfg()) { e =>
+      val f = XFrame.source(e, "t", src).filter(col("v") < 0.5)
+      f.toDF()
+      val chunks = e.tile(f.tileable)
+      assert(chunks.size > 1 && chunks.forall(e.isMaterialized))
+      e.storage.free(e.keyOf(chunks(1)))
+      assert(!e.isMaterialized(chunks(1)))
+      assert(f.toDF().collect().map(_.toSeq).sameElements(want.map(_.toSeq)))
+      assert(chunks.forall(e.isMaterialized))
     }
   }
 
