@@ -73,23 +73,4 @@ class AblationSuite extends BenchBase {
         Seq("o off", fmt(off), "1.00", "-")))
     assert(off / on > 0.7, "operator fusion must not regress")
   }
-
-  test("combine stage bounds reducer fan-in (auto merge, §IV-C)") {
-    val tables = TpchData.tables(spark, sf)
-    def combines(mk: () => repro.core.Engine): (Long, Double) = {
-      val e = mk()
-      try {
-        val ctx = TpchCtx(e, tables)
-        val t = time() { TpchQueries.byId(1).run(ctx).toDF().count() }
-        (e.stats.traces.flatMap(_.labels).count(_.startsWith("GroupbyAgg::combine")), t)
-      } finally e.reset()
-    }
-    val (withCombine, tOn) = combines(() => Engines.xorbits(spark, 1L << 20))
-    val (without, tOff) = combines(() => Engines.noCombine(spark, 1L << 20))
-    printTable("combine-stage ablation (Q1)",
-      Seq("arm", "combine nodes", "wall s"),
-      Seq(Seq("combine on", withCombine.toString, fmt(tOn)),
-        Seq("combine off", without.toString, fmt(tOff))))
-    assert(withCombine > without)
-  }
 }

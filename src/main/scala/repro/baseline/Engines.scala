@@ -9,8 +9,7 @@ import repro.core.{Engine, EngineConfig}
   *
   * All variants share the same chunk-task machinery — only planning
   * differs — so timing comparisons isolate the paper's contributions:
-  * dynamic tiling, graph-level fusion, operator-level fusion, and the
-  * combine stage.
+  * dynamic tiling, graph-level fusion and operator-level fusion.
   */
 object Engines {
 
@@ -44,10 +43,4 @@ object Engines {
     new Engine(spark, EngineConfig(chunkSizeLimit = chunkLimit,
       treeReduceThreshold = chunkLimit, broadcastThreshold = chunkLimit / 2,
       operatorFusion = false))
-
-  /** Ablation arm: no combine stage (plain MapReduce tree). */
-  def noCombine(spark: SparkSession, chunkLimit: Long = 8L << 20): Engine =
-    new Engine(spark, EngineConfig(chunkSizeLimit = chunkLimit,
-      treeReduceThreshold = chunkLimit, broadcastThreshold = chunkLimit / 2,
-      combineStage = false))
 }

@@ -11,10 +11,11 @@ package repro.core
   *    the Dask/Modin planning model and the "dy off" ablation arm;
   *  - `graphFusion = false` materializes every chunk task through the
   *    storage service (no subtask fusion) — the "g off" arm;
-  *  - `operatorFusion = false` applies narrow steps one Catalyst op at a
-  *    time instead of compiling them into one projection — the "o off" arm;
-  *  - `combineStage = false` drops the pre-aggregation level from
-  *    tree-reduce (plain MapReduce).
+  *  - `operatorFusion = false` applies each narrow task's steps on their
+  *    own, one Catalyst operator per step over the input task's plan,
+  *    instead of chaining a subtask's adjacent narrow tasks into one pipe
+  *    whose runs of filters collapse into one — the "o off" arm. Catalyst's
+  *    optimizer collapses adjacent projections and filters on both arms.
   */
 final case class EngineConfig(
     /** Upper bound for one chunk's estimated bytes (paper's chunk size limit). */
@@ -22,7 +23,6 @@ final case class EngineConfig(
     dynamicTiling: Boolean = true,
     graphFusion: Boolean = true,
     operatorFusion: Boolean = true,
-    combineStage: Boolean = true,
     /** Aggregated-size threshold below which tree-reduce is selected. */
     treeReduceThreshold: Long = 8L << 20,
     /** Side-size threshold below which a merge side is broadcast. */

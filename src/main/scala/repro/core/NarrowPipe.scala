@@ -1,13 +1,15 @@
 package repro.core
 
+import scala.collection.immutable.ListMap
+
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** One step of a narrow (chunk-local, element-wise) operator pipeline.
   *
   * Steps are kept symbolic so operator-level fusion (paper §V-A,
-  * numexpr/JAX analog) can compile adjacent steps into a single Catalyst
-  * projection/filter instead of a chain of intermediate plans.
+  * numexpr/JAX analog) can chain the steps of adjacent narrow tasks into
+  * one pipe over the chain's input (see `Engine.runSubtask`).
   */
 sealed trait NarrowStep
 object NarrowStep {
@@ -15,7 +17,11 @@ object NarrowStep {
   final case class FilterStep(cond: Column) extends NarrowStep
   /** Column projection by name (pandas `df[cols]`). */
   final case class SelectStep(cols: Seq[String]) extends NarrowStep
-  /** Add / replace columns (pandas `assign`). Applied left-to-right. */
+  /** Add / replace columns (pandas `assign`), as one projection: every
+    * expression resolves against the step's input, not against the
+    * step's earlier entries. New columns are appended in the given order;
+    * a replaced column keeps its place.
+    */
   final case class WithColsStep(cols: Seq[(String, Column)]) extends NarrowStep
   /** Drop columns (ignores missing). */
   final case class DropStep(cols: Seq[String]) extends NarrowStep
@@ -28,67 +34,30 @@ object NarrowStep {
   final case class FnStep(label: String, f: DataFrame => DataFrame) extends NarrowStep
 }
 
-/** An ordered pipeline of narrow steps applied to one chunk.
+/** An ordered pipeline of narrow steps applied to one chunk, one Catalyst
+  * operator per step.
   *
-  * `apply(df, fused = true)` performs operator-level fusion: runs of
-  * filters collapse to one conjunctive filter and runs of column
-  * assignments collapse into a single `withColumns` call, so Catalyst
-  * analyzes one projection instead of N.
+  * `apply(df, fused = true)` also collapses each run of filters into one
+  * conjunctive filter. Everything else is left to Catalyst, whose
+  * optimizer already collapses adjacent projections and filters.
   */
 final case class NarrowPipe(steps: Vector[NarrowStep]) {
   import NarrowStep._
 
   def ++(other: NarrowPipe): NarrowPipe = NarrowPipe(steps ++ other.steps)
 
-  /** Number of plan nodes saved by fusion (for the ablation stats). */
-  def fusedSavings: Int = math.max(0, steps.size - fuseRuns(steps).size)
-
-  private def fuseRuns(ss: Vector[NarrowStep]): Vector[NarrowStep] = {
-    val out = Vector.newBuilder[NarrowStep]
-    var i = 0
-    while (i < ss.size) {
-      ss(i) match {
-        case FilterStep(c0) =>
-          var cond = c0; var j = i + 1
-          while (j < ss.size && ss(j).isInstanceOf[FilterStep]) {
-            cond = cond && ss(j).asInstanceOf[FilterStep].cond; j += 1
-          }
-          out += FilterStep(cond); i = j
-        case WithColsStep(cs0) =>
-          // Spark's withColumns resolves every expression against the
-          // *input* plan, unlike sequential withColumn where later
-          // expressions can see earlier outputs. Merge a run only while
-          // the later step neither redefines an earlier name nor
-          // (syntactically) references one — conservative: a false
-          // positive merely skips fusion, never changes semantics.
-          var cs = cs0; var j = i + 1
-          var names = cs0.map(_._1).toSet
-          var ok = true
-          def referencesAny(c: Column, ns: Set[String]): Boolean = {
-            val text = c.toString
-            ns.exists(n => ("""(?<![A-Za-z0-9_])""" + java.util.regex.Pattern.quote(n) +
-              """(?![A-Za-z0-9_])""").r.findFirstIn(text).isDefined)
-          }
-          while (j < ss.size && ok) {
-            ss(j) match {
-              case WithColsStep(next)
-                  if next.map(_._1).forall(n => !names.contains(n)) &&
-                    next.forall { case (_, c) => !referencesAny(c, names) } =>
-                cs = cs ++ next; names = names ++ next.map(_._1); j += 1
-              case _ => ok = false
-            }
-          }
-          out += WithColsStep(cs); i = j
-        case s => out += s; i += 1
-      }
+  private def fuseFilters(ss: Vector[NarrowStep]): Vector[NarrowStep] =
+    ss.foldLeft(Vector.empty[NarrowStep]) {
+      case (out :+ FilterStep(c0), FilterStep(c)) => out :+ FilterStep(c0 && c)
+      case (out, s)                               => out :+ s
     }
-    out.result()
-  }
 
   private def applyStep(df: DataFrame, s: NarrowStep): DataFrame = s match {
     case FilterStep(c) => df.filter(c)
     case SelectStep(cols) => df.select(cols.map(col): _*)
-    case WithColsStep(cs) => df.withColumns(cs.toMap)
+    // Spark's `withColumns(Map)` projects the map's entries in its
+    // iteration order, which a `ListMap` keeps.
+    case WithColsStep(cs) => df.withColumns(ListMap(cs: _*))
     case DropStep(cs) => df.drop(cs: _*)
     case RenameStep(m) => df.withColumnsRenamed(m)
     case FillNaStep(v, cols) =>
@@ -104,7 +73,7 @@ final case class NarrowPipe(steps: Vector[NarrowStep]) {
   }
 
   def apply(df: DataFrame, fused: Boolean): DataFrame = {
-    val ss = if (fused) fuseRuns(steps) else steps
+    val ss = if (fused) fuseFilters(steps) else steps
     ss.foldLeft(df)(applyStep)
   }
 }

@@ -62,7 +62,8 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private val idGen = new AtomicLong(0)
   private val tiledCache = new java.util.IdentityHashMap[Tileable, Vector[ChunkTask]]()
-  private val sourceCache = mutable.LinkedHashMap[String, (DataFrame, Long)]()
+  /** Each source DataFrame, by reference, with its indexed copy and rows. */
+  private val sourceCache = new java.util.IdentityHashMap[DataFrame, (DataFrame, Long)]()
 
   // ---------------------------------------------------------------------
   // Task construction
@@ -197,8 +198,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       // limit per combine node until one chunk remains.
       while (level.size > 1) {
         depth += 1
-        val fanIn = if (config.combineStage) Engine.CombineFanIn else level.size
-        level = level.grouped(fanIn).toVector.zipWithIndex.map { case (grp, r) =>
+        level = level.grouped(Engine.CombineFanIn).toVector.zipWithIndex.map { case (grp, r) =>
           if (grp.size == 1) grp.head else task(s"$name::combine$depth[$r]", grp, merge)
         }
       }
@@ -240,7 +240,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   }
 
   private def tileSource(s: SourceOp): TileResult = {
-    val (indexed, rows) = sourceCache.getOrElseUpdate(s.sourceName, {
+    val (indexed, rows) = sourceCache.computeIfAbsent(s.df, _ => {
       // Through an RDD, so that each chunk plan's leaf is one
       // `Scan ExistingRDD`, whatever plan built the source.
       val ind = spark.createDataFrame(s.df.rdd, s.df.schema).persist(SparkLevel.MEMORY_AND_DISK)
@@ -290,7 +290,10 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     def joinCompute(l: DataFrame, r: DataFrame): DataFrame = {
       if (m.how == "cross") return l.crossJoin(r)
-      val overlap = (l.columns.toSet intersect r.columns.toSet) -- on.toSet
+      // Only joins that output the right side's columns can clash.
+      val overlap =
+        if (m.how == "leftsemi" || m.how == "leftanti") Set.empty[String]
+        else (l.columns.toSet intersect r.columns.toSet) -- on.toSet
       val lr = overlap.foldLeft(l)((d, c) => d.withColumnRenamed(c, s"${c}_x"))
       val rr = overlap.foldLeft(r)((d, c) => d.withColumnRenamed(c, s"${c}_y"))
       lr.join(rr, on, m.how)
@@ -483,55 +486,48 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     def dfOf(t: ChunkTask): DataFrame =
       local.getOrElse(t.id, { accesses += Read(t); storage.read(keyOf(t)) })
 
-    // Operator-level fusion: collapse chains of narrow tasks inside the
-    // subtask into one composed pipe, so Catalyst sees a single
-    // projection/filter instead of a chain of intermediate plans.
-    val skip = mutable.Set[Long]()
-    val effPipe = mutable.Map[Long, NarrowPipe]()
-    val effIns = mutable.Map[Long, Vector[ChunkTask]]()
+    // Operator-level fusion: chain the subtask's narrow tasks, so that
+    // each chain runs as one composed pipe over the chain's input, with no
+    // DataFrame of its own for an inner task. A narrow input joins its
+    // consumer's chain when it is neither a target nor read by another
+    // task. `chained` maps a narrow task to its chain's input and pipe.
+    val chained = mutable.Map[Long, (ChunkTask, NarrowPipe)]()
+    val absorbed = mutable.Set[Long]()
     var narrowFused = 0L
-    if (config.operatorFusion) {
-      st.tasks.foreach { t =>
-        t.narrow.foreach { p =>
-          var pipe = p
-          var ins = t.inputs
-          if (t.inputs.size == 1) {
-            val in = t.inputs.head
-            if (inSt.contains(in.id) && effPipe.contains(in.id) && !targetIds.contains(in.id) &&
-                succAll(in).size == 1) {
-              skip += in.id
-              narrowFused += effPipe(in.id).steps.size
-              pipe = effPipe(in.id) ++ p
-              ins = effIns(in.id)
-            }
-          }
-          effPipe(t.id) = pipe
-          effIns(t.id) = ins
+    if (config.operatorFusion) st.tasks.foreach { t =>
+      t.narrow.foreach { p =>
+        val in = t.inputs.head
+        chained(t.id) = chained.get(in.id) match {
+          case Some((chainIn, q)) if !targetIds.contains(in.id) && succAll(in).size == 1 =>
+            absorbed += in.id
+            narrowFused += q.steps.size
+            (chainIn, q ++ p)
+          case _ => (in, p)
         }
       }
     }
 
-    // Execution plan: which tasks run, their effective inputs, and how
-    // many internal consumers each output has. A fused subtask must
-    // compute each member ONCE (the paper's subtask semantics): outputs
-    // consumed by several internal tasks — e.g. a map feeding its R
-    // bucket splits — are pinned with a one-shot Spark persist, since
-    // chunk fragments are lazy plans that would otherwise recompute.
-    val execTasks = st.tasks.filterNot(t => skip.contains(t.id))
-    def effInputs(t: ChunkTask): Vector[ChunkTask] =
-      if (config.operatorFusion && effIns.contains(t.id)) effIns(t.id) else t.inputs
+    // Execution plan: the tasks no chain absorbed, and how many internal
+    // consumers each output has. A fused subtask must compute each member
+    // ONCE (the paper's subtask semantics): outputs consumed by several
+    // internal tasks — e.g. a map feeding its R bucket splits — are pinned
+    // with a one-shot Spark persist, since chunk fragments are lazy plans
+    // that would otherwise recompute.
+    val execTasks = st.tasks.filterNot(t => absorbed.contains(t.id))
     val internalUses = mutable.Map[Long, Int]().withDefaultValue(0)
-    execTasks.foreach(t => effInputs(t).foreach { i =>
-      if (inSt.contains(i.id)) internalUses(i.id) += 1
-    })
+    execTasks.foreach { t =>
+      chained.get(t.id).fold(t.inputs)(c => Vector(c._1)).foreach { i =>
+        if (inSt.contains(i.id)) internalUses(i.id) += 1
+      }
+    }
 
     val temps = mutable.ArrayBuffer[DataFrame]()
     try {
       execTasks.foreach { t =>
-        val out =
-          if (config.operatorFusion && effPipe.contains(t.id))
-            effPipe(t.id)(dfOf(effInputs(t).head), fused = true)
-          else t.compute(t.inputs.map(dfOf))
+        val out = chained.get(t.id) match {
+          case Some((in, pipe)) => pipe(dfOf(in), fused = true)
+          case None             => t.compute(t.inputs.map(dfOf))
+        }
         local(t.id) = out
         // Fill exposed outputs immediately (targets, or chunks consumed
         // outside this subtask) so downstream internal consumers reuse the
@@ -611,7 +607,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   /** Drop all cached state (chunks, sources, tiling cache). */
   def reset(): Unit = {
     storage.reset()
-    sourceCache.values.foreach(_._1.unpersist(true))
+    sourceCache.values.forEach(_._1.unpersist(true))
     sourceCache.clear()
     tiledCache.clear()
   }

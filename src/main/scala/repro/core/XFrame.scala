@@ -126,7 +126,9 @@ object XFrame {
   private val MergeHows: Seq[String] = Seq("inner", "left", "leftsemi", "leftanti")
 
   /** Register a named input table with the engine (the read_parquet
-    * analog — the source is chunked on first tiling).
+    * analog — the source is chunked on first tiling). The engine indexes
+    * each DataFrame once, whatever name it comes under; `name` labels its
+    * chunks.
     */
   def source(engine: Engine, name: String, df: DataFrame): XFrame =
     new XFrame(engine, new Tileable(TileableOp.SourceOp(name, df), Vector.empty))

@@ -18,34 +18,6 @@ class NarrowPipeSpec extends SparkSpec {
     assert(a.forall(id => id > 10 && id % 10 < 5))
   }
 
-  test("fusedSavings counts collapsed plan nodes") {
-    val pipe = NarrowPipe(Vector(
-      FilterStep(col("id") > 1), FilterStep(col("id") > 2), FilterStep(col("id") > 3)))
-    assert(pipe.fusedSavings == 2)
-  }
-
-  test("withColumns runs with disjoint names merge") {
-    val pipe = NarrowPipe(Vector(
-      WithColsStep(Seq("a" -> (col("id") + 1))),
-      WithColsStep(Seq("b" -> (col("id") + 2)))))
-    assert(pipe.fusedSavings == 1)
-    val out = pipe(df(), fused = true)
-    assert(out.columns.toSet == Set("id", "m", "d", "a", "b"))
-    val r = out.filter(col("id") === 5).head()
-    assert(r.getAs[Long]("a") == 6 && r.getAs[Long]("b") == 7)
-  }
-
-  test("dependent withColumns do NOT merge (later column references earlier)") {
-    val pipe = NarrowPipe(Vector(
-      WithColsStep(Seq("a" -> (col("id") + 1))),
-      WithColsStep(Seq("a2" -> (col("a") * 10)))))
-    assert(pipe.fusedSavings == 0, "referencing an earlier output must block the merge")
-    val fused = pipe(df(), fused = true)
-    assert(fused.filter(col("id") === 3).head().getAs[Long]("a2") == 40)
-    val unfused = pipe(df(), fused = false)
-    assert(unfused.filter(col("id") === 3).head().getAs[Long]("a2") == 40)
-  }
-
   test("rename maps column names") {
     val out = NarrowPipe(Vector(RenameStep(Map("m" -> "mod10")))).apply(df(), fused = true)
     assert(out.columns.contains("mod10") && !out.columns.contains("m"))
@@ -78,6 +50,19 @@ class NarrowPipeSpec extends SparkSpec {
     val a = pipe(df(), fused = true).collect().map(_.toSeq).sortBy(_.toString)
     val b = pipe(df(), fused = false).collect().map(_.toSeq).sortBy(_.toString)
     assert(a.sameElements(b))
+
+    // Adjacent column steps, independent or reading an earlier output.
+    val cols = NarrowPipe(Vector(
+      WithColsStep(Seq("a" -> (col("id") + 1))),
+      WithColsStep(Seq("b" -> (col("id") + 2))),
+      WithColsStep(Seq("a2" -> (col("a") * 10)))))
+    for (fused <- Seq(true, false)) {
+      val out = cols(df(), fused)
+      assert(out.columns.sameElements(Array("id", "m", "d", "a", "b", "a2")), s"fused=$fused")
+      val r5 = out.filter(col("id") === 5).head()
+      assert(r5.getAs[Long]("a") == 6 && r5.getAs[Long]("b") == 7, s"fused=$fused")
+      assert(out.filter(col("id") === 3).head().getAs[Long]("a2") == 40, s"fused=$fused")
+    }
   }
 
   test("pipe concatenation preserves order") {

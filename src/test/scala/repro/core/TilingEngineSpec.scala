@@ -42,6 +42,13 @@ class TilingEngineSpec extends SparkSpec {
   private def assertSameSet(got: DataFrame, want: DataFrame): Unit =
     assertSameRows(got.collect(), want.collect())
 
+  /** Same column names and types, in the same order, and the same rows. */
+  private def assertLikeSpark(got: DataFrame, want: DataFrame): Unit = {
+    assert(got.dtypes.sameElements(want.dtypes),
+      s"schema differs: got ${got.dtypes.toVector}, want ${want.dtypes.toVector}")
+    assertSameSet(got, want)
+  }
+
   private def withEngine[T](c: EngineConfig)(f: Engine => T): T = {
     val e = new Engine(spark, c)
     try f(e) finally e.reset()
@@ -146,12 +153,6 @@ class TilingEngineSpec extends SparkSpec {
       val combines = e.stats.traces.flatMap(_.labels).count(_.startsWith("GroupbyAgg::combine"))
       assert(combines > 1, "fan-in limit should create multiple combine nodes")
     }
-    withEngine(EngineConfig(chunkSizeLimit = 64 << 10, combineStage = false,
-      treeReduceThreshold = 64 << 10, broadcastThreshold = 32 << 10)) { e =>
-      XFrame.source(e, "t", src).groupby("k").agg(SumAgg("v", "sv")).toDF()
-      val combines = e.stats.traces.flatMap(_.labels).count(_.startsWith("GroupbyAgg::combine"))
-      assert(combines == 1, "without the combine stage a single node merges everything")
-    }
   }
 
   test("merge with a tiny side selects broadcast merge") {
@@ -217,6 +218,17 @@ class TilingEngineSpec extends SparkSpec {
     withEngine(cfg()) { e =>
       val got = XFrame.source(e, "a", a).merge(XFrame.source(e, "b2", b), Seq("k")).toDF()
       assert(got.columns.sorted.sameElements(Array("k", "v_x", "v_y")))
+    }
+  }
+
+  test("semi and anti merges keep an overlapping left column's name, broadcast or shuffled") {
+    val a = keys(5000)
+    val dim = spark.range(1, 21).select(col("id") as "k", (col("id") * 10).cast("double") as "v")
+    // The dynamic engine broadcasts `dim`; the static one shuffles both sides.
+    for (dynamic <- Seq(true, false); how <- Seq("leftsemi", "leftanti")) withEngine(cfg(dynamic = dynamic)) { e =>
+      val got = XFrame.source(e, "a", a).merge(XFrame.source(e, "dim", dim), Seq("k"), how).toDF()
+      assert((e.stats.broadcastMerges, e.stats.shuffleMerges) == (if (dynamic) (1, 0) else (0, 1)), e.stats.toString)
+      withClue(s"dynamic=$dynamic $how: ")(assertLikeSpark(got, a.join(dim, Seq("k"), how)))
     }
   }
 
@@ -313,6 +325,17 @@ class TilingEngineSpec extends SparkSpec {
       assert(chunks.size == 5)
       assert(f.toDF().collect().map(_.toSeq).sameElements(src.collect().map(_.toSeq)))
       chunks.foreach(c => assert(e.storage.read(e.keyOf(c)).columns.sameElements(src.columns)))
+    }
+  }
+
+  test("sources are indexed once per DataFrame, whatever name they come under") {
+    val a = spark.range(10).select(col("id") as "k")
+    val b = spark.range(100, 105).select(col("id") as "k")
+    withEngine(cfg()) { e =>
+      assertSameSet(XFrame.source(e, "t", a).toDF(), a)
+      assertSameSet(XFrame.source(e, "t", b).toDF(), b)
+      val (_, probe) = JobProbe(spark.sparkContext)(e.tile(XFrame.source(e, "t2", a).tileable))
+      assert(probe.jobs == 0, s"re-sourcing an indexed DataFrame ran ${probe.jobs} Spark jobs")
     }
   }
 
@@ -595,6 +618,33 @@ class TilingEngineSpec extends SparkSpec {
     assert(fusedSteps > 0 && unfusedSteps == 0)
     assert(gotFused.sameElements(expect))
     assert(gotUnfused.sameElements(expect))
+  }
+
+  /** Runs `program` on the full engine and with operator fusion off, and
+    * compares each result with `program` on plain Spark.
+    */
+  private def onBothFusionArms(program: String, src: DataFrame)(xf: XFrame => XFrame, want: DataFrame => DataFrame): Unit =
+    for (opFusion <- Seq(true, false)) withEngine(cfg(opFusion = opFusion)) { e =>
+      withClue(s"$program, opFusion=$opFusion: ")(assertLikeSpark(xf(XFrame.source(e, "t", src)).toDF(), want(src)))
+    }
+
+  test("column steps keep Spark's column order on both operator-fusion arms") {
+    val src = keys(2000)
+    val six = Seq("a" -> (col("k") + 1), "b" -> (col("v") * 2), "c" -> (col("k") % 3),
+      "d" -> (col("v") + 1), "e" -> lit(5), "h" -> (col("k") * 7))
+    onBothFusionArms("six withColumn", src)(
+      f => six.foldLeft(f) { case (x, (n, c)) => x.withColumn(n, c) },
+      df => six.foldLeft(df) { case (x, (n, c)) => x.withColumn(n, c) })
+    val five = six.take(5)
+    onBothFusionArms("one withColumns of five", src)(
+      _.withColumns(five: _*),
+      df => five.foldLeft(df) { case (x, (n, c)) => x.withColumn(n, c) })
+  }
+
+  test("a column step over * sees the columns added before it on both operator-fusion arms") {
+    onBothFusionArms("withColumn over *", keys(2000))(
+      _.withColumn("e", lit(5)).withColumn("h", hash(col("*"))),
+      _.withColumn("e", lit(5)).withColumn("h", hash(col("*"))))
   }
 
   test("subtask traces record band assignments across all bands") {
