@@ -23,7 +23,40 @@ trait BenchBase extends SparkSpec {
       f
       (System.nanoTime() - t0) / 1e9
     }
-    times.sorted.apply(times.size / 2)
+    median(times)
+  }
+
+  /** Time the two arms of a comparison fairly: one untimed warm-up run of
+    * each arm, then `reps` rounds that alternate which arm runs first, so
+    * that neither arm always runs on the warmer JVM. Prints each arm's
+    * median wall time with its quartiles, and the median and range of the
+    * per-round ratio `b / a`. Returns each arm's wall times in seconds, in
+    * round order.
+    */
+  def compareArms(title: String, reps: Int = 5)(
+      a: (String, () => Any),
+      b: (String, () => Any),
+  ): (Seq[Double], Seq[Double]) = {
+    a._2(); b._2()
+    val rounds = (0 until reps).map { r =>
+      if (r % 2 == 0) { val ta = time()(a._2()); (ta, time()(b._2())) }
+      else { val tb = time()(b._2()); (time()(a._2()), tb) }
+    }
+    val (ta, tb) = rounds.unzip
+    def spread(xs: Seq[Double]) = f"${median(xs)}%.3f s [q1 ${quantile(xs, 0.25)}%.3f, q3 ${quantile(xs, 0.75)}%.3f]"
+    val ratios = rounds.map { case (x, y) => y / x }
+    println(s"$title, $reps alternating rounds after one warm-up each: ${a._1} ${spread(ta)}; " +
+      s"${b._1} ${spread(tb)}; ${b._1} / ${a._1} median ${fmt(median(ratios))} " +
+      s"[min ${fmt(ratios.min)}, max ${fmt(ratios.max)}]")
+    (ta, tb)
+  }
+
+  def median(xs: Seq[Double]): Double = quantile(xs, 0.5)
+
+  /** The `q`-quantile of `xs`: its nearest-rank element. */
+  private def quantile(xs: Seq[Double], q: Double): Double = {
+    val s = xs.sorted
+    s(math.round((s.size - 1) * q).toInt)
   }
 
   /** Print a markdown table with a marker the harness can grep. */

@@ -30,13 +30,12 @@ class TableIVSuite extends AnyFunSuite {
     // the intended config axis.
     val spark = repro.SparkSpec.shared
     val x = Engines.xorbits(spark); val s = Engines.static(spark)
-    val g = Engines.noGraphFusion(spark); val o = Engines.noOperatorFusion(spark)
+    val g = Engines.noGraphFusion(spark)
     val n = Engines.singleNode(spark)
     try {
       assert(x.config.dynamicTiling && !s.config.dynamicTiling)
       assert(!g.config.graphFusion && g.config.dynamicTiling)
-      assert(!o.config.operatorFusion && o.config.graphFusion)
       assert(n.config.chunkSizeLimit > (1L << 50))
-    } finally Seq(x, s, g, o, n).foreach(_.reset())
+    } finally Seq(x, s, g, n).foreach(_.reset())
   }
 }

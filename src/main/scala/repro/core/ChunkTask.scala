@@ -19,8 +19,9 @@ import org.apache.spark.sql.DataFrame
   * @param compute pure Catalyst fragment: input chunk DataFrames →
   *                output chunk DataFrame (lazy; materialization happens
   *                only through the storage service)
-  * @param narrow  set iff the task is a narrow pipeline (enables
-  *                operator-level fusion across adjacent narrow tasks)
+  * @param narrow  the task applies one narrow step to its one input
+  *                (`EngineStats.narrowStepsFused` counts those a subtask
+  *                runs inside a consumer's plan)
   * @param ordered the chunk's one stored partition holds its rows in the
   *                frame's row order, so `iloc` may cut rows out of it by
   *                position: source slices, sort and iloc slices, and
@@ -32,7 +33,7 @@ final class ChunkTask(
     val label: String,
     val inputs: Vector[ChunkTask],
     val compute: Seq[DataFrame] => DataFrame,
-    val narrow: Option[NarrowPipe],
+    val narrow: Boolean,
     val ordered: Boolean,
 ) {
   override def toString: String = s"ChunkTask($id, $label)"

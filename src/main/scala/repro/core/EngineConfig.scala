@@ -10,19 +10,17 @@ package repro.core
   *    sizes, no broadcast detection, no iterative tiling (iloc fails) —
   *    the Dask/Modin planning model and the "dy off" ablation arm;
   *  - `graphFusion = false` materializes every chunk task through the
-  *    storage service (no subtask fusion) — the "g off" arm;
-  *  - `operatorFusion = false` applies each narrow task's steps on their
-  *    own, one Catalyst operator per step over the input task's plan,
-  *    instead of chaining a subtask's adjacent narrow tasks into one pipe
-  *    whose runs of filters collapse into one — the "o off" arm. Catalyst's
-  *    optimizer collapses adjacent projections and filters on both arms.
+  *    storage service (no subtask fusion) — the "g off" arm.
+  *
+  * Operator-level fusion has no flag: Catalyst collapses and compiles the
+  * narrow steps of a subtask's composed plan (see `NarrowStep`). The
+  * "o off" arm is Spark's `spark.sql.codegen.wholeStage = false`.
   */
 final case class EngineConfig(
     /** Upper bound for one chunk's estimated bytes (paper's chunk size limit). */
     chunkSizeLimit: Long = 8L << 20,
     dynamicTiling: Boolean = true,
     graphFusion: Boolean = true,
-    operatorFusion: Boolean = true,
     /** Aggregated-size threshold below which tree-reduce is selected. */
     treeReduceThreshold: Long = 8L << 20,
     /** Side-size threshold below which a merge side is broadcast. */

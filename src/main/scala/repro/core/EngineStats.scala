@@ -30,7 +30,10 @@ final class EngineStats {
   var tasksExecuted: Long = 0
   var chunksMaterialized: Long = 0
   var bytesMaterialized: Long = 0
-  /** Narrow plan nodes removed by operator-level fusion. */
+  /** Narrow tasks a subtask ran inside a consumer's plan, without storing
+    * their output: the steps left to Catalyst's operator-level fusion.
+    * Always 0 with graph fusion off, where every task is its own subtask.
+    */
   var narrowStepsFused: Long = 0
   /** Chunk tasks merged away by graph-level fusion. */
   var tasksFusedAway: Long = 0

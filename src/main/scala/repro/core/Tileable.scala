@@ -21,8 +21,8 @@ object TileableOp {
     def name = s"Read($sourceName)"
   }
 
-  /** Narrow chunk-local pipeline step(s): filter / project / assign / …. */
-  final case class NarrowOp(pipe: NarrowPipe, label: String) extends TileableOp {
+  /** One narrow chunk-local step: filter / project / assign / …. */
+  final case class NarrowOp(step: NarrowStep, label: String) extends TileableOp {
     def name = label
   }
 

@@ -6,6 +6,7 @@ import scala.annotation.tailrec
 import scala.collection.mutable
 import scala.util.{Failure, Success, Try}
 
+import org.apache.spark.rdd.{PartitionCoalescer, PartitionGroup, RDD}
 import org.apache.spark.sql.{classic, Column, DataFrame, SparkSession}
 import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
@@ -73,7 +74,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       label: String,
       inputs: Vector[ChunkTask],
       compute: Seq[DataFrame] => DataFrame,
-      narrow: Option[NarrowPipe] = None,
+      narrow: Boolean = false,
       ordered: Boolean = false,
   ): ChunkTask = new ChunkTask(idGen.incrementAndGet(), label, inputs, compute, narrow, ordered)
 
@@ -242,8 +243,11 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   private def tileSource(s: SourceOp): TileResult = {
     val (indexed, rows) = sourceCache.computeIfAbsent(s.df, _ => {
       // Through an RDD, so that each chunk plan's leaf is one
-      // `Scan ExistingRDD`, whatever plan built the source.
-      val ind = spark.createDataFrame(s.df.rdd, s.df.schema).persist(SparkLevel.MEMORY_AND_DISK)
+      // `Scan ExistingRDD`, whatever plan built the source. The copy is one
+      // partition holding the source's rows in order, so that every chunk
+      // cuts its row range out of the same order.
+      val one = s.df.rdd.coalesce(1, shuffle = false, Some(Engine.InOrder))
+      val ind = spark.createDataFrame(one, s.df.schema).persist(SparkLevel.MEMORY_AND_DISK)
       // Counted as `StorageService.putFill` counts: one job, no exchange.
       val rows = ind.queryExecution.toRdd
       (ind, spark.sparkContext.runJob(rows, StorageService.countRows, rows.partitions.indices).sum)
@@ -251,7 +255,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     val bytes = rows * SchemaBytes.rowWidth(s.df.schema)
     val nChunks = math.max(1L, (bytes + config.chunkSizeLimit - 1) / config.chunkSizeLimit).toInt
     val label = s"Read(${s.sourceName})"
-    // Coalescing the persisted source reads its partitions in order.
+    // The copy is one partition already; `coalesce(1)` lets Spark see that.
     Tiled(
       if (nChunks == 1) Vector(task(s"$label[0]", Vector.empty, _ => indexed.coalesce(1), ordered = true))
       else splitRows(label, Vector.empty, rows, nChunks)(_ => indexed.coalesce(1)))
@@ -261,9 +265,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private def tileNarrow(nop: NarrowOp, ins: Vector[ChunkTask]): TileResult =
     Tiled(ins.zipWithIndex.map { case (c, r) =>
-      task(s"${nop.label}[$r]", Vector(c),
-        dfs => nop.pipe(dfs.head, fused = config.operatorFusion),
-        narrow = Some(nop.pipe), ordered = c.ordered)
+      task(s"${nop.label}[$r]", Vector(c), dfs => nop.step(dfs.head), narrow = true, ordered = c.ordered)
     })
 
   // -- GroupbyAgg and Distinct: map → (combine)* or → shuffle ------------
@@ -486,48 +488,19 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     def dfOf(t: ChunkTask): DataFrame =
       local.getOrElse(t.id, { accesses += Read(t); storage.read(keyOf(t)) })
 
-    // Operator-level fusion: chain the subtask's narrow tasks, so that
-    // each chain runs as one composed pipe over the chain's input, with no
-    // DataFrame of its own for an inner task. A narrow input joins its
-    // consumer's chain when it is neither a target nor read by another
-    // task. `chained` maps a narrow task to its chain's input and pipe.
-    val chained = mutable.Map[Long, (ChunkTask, NarrowPipe)]()
-    val absorbed = mutable.Set[Long]()
-    var narrowFused = 0L
-    if (config.operatorFusion) st.tasks.foreach { t =>
-      t.narrow.foreach { p =>
-        val in = t.inputs.head
-        chained(t.id) = chained.get(in.id) match {
-          case Some((chainIn, q)) if !targetIds.contains(in.id) && succAll(in).size == 1 =>
-            absorbed += in.id
-            narrowFused += q.steps.size
-            (chainIn, q ++ p)
-          case _ => (in, p)
-        }
-      }
-    }
-
-    // Execution plan: the tasks no chain absorbed, and how many internal
-    // consumers each output has. A fused subtask must compute each member
-    // ONCE (the paper's subtask semantics): outputs consumed by several
-    // internal tasks — e.g. a map feeding its R bucket splits — are pinned
-    // with a one-shot Spark persist, since chunk fragments are lazy plans
-    // that would otherwise recompute.
-    val execTasks = st.tasks.filterNot(t => absorbed.contains(t.id))
+    // A fused subtask must compute each member ONCE (the paper's subtask
+    // semantics): outputs consumed by several internal tasks — e.g. a map
+    // feeding its R bucket splits — are pinned with a one-shot Spark
+    // persist, since chunk fragments are lazy plans that would otherwise
+    // recompute.
     val internalUses = mutable.Map[Long, Int]().withDefaultValue(0)
-    execTasks.foreach { t =>
-      chained.get(t.id).fold(t.inputs)(c => Vector(c._1)).foreach { i =>
-        if (inSt.contains(i.id)) internalUses(i.id) += 1
-      }
-    }
+    st.tasks.foreach(_.inputs.foreach(i => if (inSt.contains(i.id)) internalUses(i.id) += 1))
 
     val temps = mutable.ArrayBuffer[DataFrame]()
+    var narrowFused = 0L
     try {
-      execTasks.foreach { t =>
-        val out = chained.get(t.id) match {
-          case Some((in, pipe)) => pipe(dfOf(in), fused = true)
-          case None             => t.compute(t.inputs.map(dfOf))
-        }
+      st.tasks.foreach { t =>
+        val out = t.compute(t.inputs.map(dfOf))
         local(t.id) = out
         // Fill exposed outputs immediately (targets, or chunks consumed
         // outside this subtask) so downstream internal consumers reuse the
@@ -536,15 +509,20 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         // is not stored.
         if (targetIds.contains(t.id) || succAll(t).exists(s => !inSt.contains(s.id)))
           accesses += Fill(t, storage.putFill(out))
-        else if (internalUses(t.id) > 1) {
-          out.persist(SparkLevel.MEMORY_AND_DISK)
-          temps += out
+        else {
+          // Operator-level fusion: the narrow step is part of its
+          // consumers' plan, which Catalyst collapses and compiles.
+          if (t.narrow) narrowFused += 1
+          if (internalUses(t.id) > 1) {
+            out.persist(SparkLevel.MEMORY_AND_DISK)
+            temps += out
+          }
         }
       }
     } catch {
       case e: Throwable => dropFills(accesses); throw e
     } finally temps.foreach(_.unpersist(false))
-    SubtaskRun(st, band, accesses.toVector, execTasks.size, narrowFused, (System.nanoTime() - t0) / 1e6)
+    SubtaskRun(st, band, accesses.toVector, narrowFused, (System.nanoTime() - t0) / 1e6)
   }
 
   /** Unpersist the chunks a subtask filled but did not commit. */
@@ -574,7 +552,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         stats.bytesMaterialized += meta.bytes
         outputBytes += meta.bytes
     }
-    stats.tasksExecuted += run.tasksRun
+    stats.tasksExecuted += run.st.tasks.size
     stats.narrowStepsFused += run.narrowFused
     stats.subtasksExecuted += 1
     stats.traces += SubtaskTrace(
@@ -621,7 +599,6 @@ object Engine {
       st: Subtask,
       band: Int,
       accesses: Vector[Access],
-      tasksRun: Int,
       narrowFused: Long,
       wallMs: Double,
   )
@@ -662,6 +639,21 @@ object Engine {
   val CombineFanIn = 4
   /** Most reducers a measured shuffle reduce or merge uses. */
   val MaxReducers = 64
+
+  /** Coalesces an RDD's partitions into one, in partition order. Spark's
+    * default coalescer puts first the partitions that have a preferred
+    * location (a cached block, or a parent's), so it reorders a source that
+    * is cached in part. The scheduler's view of those locations also
+    * changes as other jobs start, so two chunks of one source could cut
+    * their row ranges out of two different orders.
+    */
+  private object InOrder extends PartitionCoalescer with Serializable {
+    def coalesce(maxPartitions: Int, parent: RDD[_]): Array[PartitionGroup] = {
+      val group = new PartitionGroup()
+      group.partitions ++= parent.partitions
+      Array(group)
+    }
+  }
 
   /** Concatenate chunk fragments into one chunk. A union has one
     * partition per input; coalescing (no shuffle) keeps the chunk one

@@ -18,7 +18,7 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
     new XFrame(engine, new Tileable(op, ins))
 
   private def narrow(label: String, step: NarrowStep): XFrame =
-    derive(NarrowOp(NarrowPipe.one(step), label), Vector(tileable))
+    derive(NarrowOp(step, label), Vector(tileable))
 
   /** Boolean-mask row filter: `df[df["col"] < 1]`. */
   def filter(cond: Column): XFrame = narrow("Filter", FilterStep(cond))
@@ -51,12 +51,14 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
 
   def groupby(keys: String*): XGroupBy = new XGroupBy(this, keys)
 
-  /** pandas merge; `how` ∈ inner, left, leftsemi, leftanti (`crossMerge`
-    * for a cross join). Other joins would emit a broadcast right side's
-    * unmatched rows once per left chunk, so they are rejected.
+  /** pandas merge on one or more key columns; `how` ∈ inner, left,
+    * leftsemi, leftanti (`crossMerge` for a cross join). Other joins would
+    * emit a broadcast right side's unmatched rows once per left chunk, so
+    * they are rejected.
     */
   def merge(right: XFrame, on: Seq[String], how: String = "inner"): XFrame = {
     require(right.engine eq engine, "cannot merge frames from different engines")
+    require(on.nonEmpty, "merge needs at least one key column in `on`; use crossMerge for a cross join")
     require(XFrame.MergeHows.contains(how),
       s"merge how '$how' is not one of ${XFrame.MergeHows.mkString(", ")}")
     derive(MergeOp(on, how), Vector(tileable, right.tileable))
@@ -68,14 +70,27 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
     derive(MergeOp(Seq.empty, "cross"), Vector(tileable, right.tileable))
   }
 
-  /** Positional single-row lookup (pandas `df.iloc[i]`). */
-  def iloc(i: Long): XFrame = derive(ILocOp(i, 1), Vector(tileable))
+  /** Positional single-row lookup (pandas `df.iloc[i]`); `i` counts from
+    * the first row, so it may not be negative.
+    */
+  def iloc(i: Long): XFrame = {
+    require(i >= 0, s"iloc($i): negative positions are not supported")
+    derive(ILocOp(i, 1), Vector(tileable))
+  }
 
-  /** Positional row slice [start, end) (pandas `df.iloc[start:end]`). */
-  def ilocRange(start: Long, end: Long): XFrame =
+  /** Positional row slice [start, end) (pandas `df.iloc[start:end]`), with
+    * positions counted from the first row.
+    */
+  def ilocRange(start: Long, end: Long): XFrame = {
+    require(start >= 0 && end >= 0, s"ilocRange($start, $end): negative positions are not supported")
     derive(ILocOp(start, math.max(0, end - start)), Vector(tileable))
+  }
 
-  def head(n: Long): XFrame = derive(HeadOp(n), Vector(tileable))
+  /** First `n` rows (pandas `df.head(n)`, for `n` ≥ 0). */
+  def head(n: Long): XFrame = {
+    require(n >= 0, s"head($n): a negative row count is not supported")
+    derive(HeadOp(n), Vector(tileable))
+  }
 
   def sortValues(by: Seq[String], ascending: Seq[Boolean]): XFrame = {
     require(by.size == ascending.size)

@@ -20,10 +20,9 @@ class TilingEngineSpec extends SparkSpec {
       limit: Long = 64 << 10,
       dynamic: Boolean = true,
       graphFusion: Boolean = true,
-      opFusion: Boolean = true,
   ) = EngineConfig(
     chunkSizeLimit = limit, dynamicTiling = dynamic, graphFusion = graphFusion,
-    operatorFusion = opFusion, treeReduceThreshold = limit, broadcastThreshold = limit / 2)
+    treeReduceThreshold = limit, broadcastThreshold = limit / 2)
 
   private def keys(n: Long) = SynthData.uniformKeys(spark, n, 40, seed = 5)
 
@@ -146,7 +145,7 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
-  test("combine stage bounds fan-in; disabling it flattens the tree") {
+  test("tree reduce bounds fan-in with several combine nodes") {
     val src = keys(40000) // ≥ 10 chunks at 64 KiB
     withEngine(cfg()) { e =>
       XFrame.source(e, "t", src).groupby("k").agg(SumAgg("v", "sv")).toDF()
@@ -211,6 +210,20 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
+  test("merge without key columns fails when built, pointing to crossMerge") {
+    // A keyless merge on the shuffle path hashes each side on its own
+    // columns, so it would join only matching buckets of the product.
+    val a = keys(40)
+    val b = SynthData.uniformKeys(spark, 30, 40, seed = 6).select(col("k") as "k2", col("v") as "v2")
+    for (dynamic <- Seq(true, false)) withEngine(cfg(limit = 1 << 10, dynamic = dynamic)) { e =>
+      val (l, r) = (XFrame.source(e, "a", a), XFrame.source(e, "b", b))
+      val err = intercept[IllegalArgumentException](l.merge(r, Seq.empty))
+      assert(err.getMessage.contains("crossMerge"), err.getMessage)
+      assert(e.stats.subtasksExecuted == 0, "nothing may run")
+      withClue(s"dynamic=$dynamic: ")(assertLikeSpark(l.crossMerge(r).toDF(), a.crossJoin(b)))
+    }
+  }
+
   test("overlapping non-key columns get pandas-style _x/_y suffixes") {
     val a = keys(2000)
     val b = keys(100).withColumnRenamed("k", "kk").withColumnRenamed("v", "v")
@@ -271,6 +284,22 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
+  test("negative iloc, ilocRange and head positions fail when the frame is built, naming the call") {
+    withEngine(cfg()) { e =>
+      val f = XFrame.source(e, "t", keys(100))
+      val calls = Seq[(String, () => XFrame)](
+        "iloc(-1)" -> (() => f.iloc(-1)),
+        "ilocRange(-3, 5)" -> (() => f.ilocRange(-3, 5)),
+        "ilocRange(2, -1)" -> (() => f.ilocRange(2, -1)),
+        "head(-3)" -> (() => f.head(-3)))
+      for ((call, build) <- calls) {
+        val err = intercept[IllegalArgumentException](build())
+        assert(err.getMessage.contains(call), err.getMessage)
+      }
+      assert(e.stats.subtasksExecuted == 0, "nothing may run")
+    }
+  }
+
   test("iloc requires dynamic tiling (static engines reject it, like Dask)") {
     withEngine(cfg(dynamic = false)) { e =>
       assertThrows[UnsupportedOperationException] {
@@ -279,9 +308,9 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
-  test("iloc inside a chunk without row ids fails at tile time with a named error") {
+  test("iloc inside an unordered chunk fails at tile time with a named error") {
     withEngine(cfg()) { e =>
-      // 40 groups: tree reduce into one chunk, which carries no row ids.
+      // 40 groups: tree reduce into one chunk, whose rows are in no order.
       val grouped = XFrame.source(e, "t", keys(20000)).groupby("k").agg(SumAgg("v", "sv"))
       val err = intercept[UnorderedLineageException](grouped.iloc(3).toDF())
       assert(err.getMessage.contains("GroupbyAgg::agg[0]"), err.getMessage)
@@ -337,6 +366,22 @@ class TilingEngineSpec extends SparkSpec {
       val (_, probe) = JobProbe(spark.sparkContext)(e.tile(XFrame.source(e, "t2", a).tileable))
       assert(probe.jobs == 0, s"re-sourcing an indexed DataFrame ran ${probe.jobs} Spark jobs")
     }
+  }
+
+  test("a source whose partitions have cached locations only in part keeps its row order") {
+    // Spark's default coalescer would put the cached partitions first.
+    val cached = spark.range(1000, 2000, 1, 2).select(col("id") as "k").persist()
+    try {
+      cached.count()
+      val src = spark.range(0, 1000, 1, 2).select(col("id") as "k").union(cached)
+      for (limit <- Seq(64L << 10, 4L << 10)) withEngine(cfg(limit = limit)) { e =>
+        val f = XFrame.source(e, "t", src)
+        withClue(s"limit=$limit: ") {
+          assert(f.head(3).toDF().collect().map(_.getLong(0)).toSeq == Seq(0L, 1L, 2L))
+          assert(f.toDF().collect().map(_.getLong(0)).toSeq == (0L until 2000L))
+        }
+      }
+    } finally cached.unpersist(true)
   }
 
   test("iloc after a chunk-local function returns Spark's row at that position") {
@@ -602,30 +647,28 @@ class TilingEngineSpec extends SparkSpec {
 
   test("operator fusion collapses narrow chains (stats + equivalence)") {
     val src = keys(20000)
-    val expect = src.filter(col("v") > 0.1).withColumn("u", col("v") * 2)
-      .filter(col("u") < 1.5).withColumn("w", col("u") + 1)
-      .collect().map(_.toSeq.toString).sorted
-    def run(opFusion: Boolean): (Long, Array[String]) =
-      withEngine(cfg(opFusion = opFusion)) { e =>
-        val got = XFrame.source(e, "t", src).filter(col("v") > 0.1)
-          .withColumn("u", col("v") * 2).filter(col("u") < 1.5)
-          .withColumn("w", col("u") + 1).toDF()
-          .collect().map(_.toSeq.toString).sorted
-        (e.stats.narrowStepsFused, got)
+    // 5 chunks × 4 narrow steps; with graph fusion, each chunk's subtask
+    // stores only its last step's output.
+    for (graphFusion <- Seq(true, false)) withEngine(cfg(graphFusion = graphFusion)) { e =>
+      val got = XFrame.source(e, "t", src).filter(col("v") > 0.1)
+        .withColumn("u", col("v") * 2).filter(col("u") < 1.5)
+        .withColumn("w", col("u") + 1).toDF()
+      withClue(s"graphFusion=$graphFusion: ") {
+        assert(e.stats.narrowStepsFused == (if (graphFusion) 15 else 0), e.stats.toString)
+        assertLikeSpark(got, src.filter(col("v") > 0.1).withColumn("u", col("v") * 2)
+          .filter(col("u") < 1.5).withColumn("w", col("u") + 1))
       }
-    val (fusedSteps, gotFused) = run(true)
-    val (unfusedSteps, gotUnfused) = run(false)
-    assert(fusedSteps > 0 && unfusedSteps == 0)
-    assert(gotFused.sameElements(expect))
-    assert(gotUnfused.sameElements(expect))
+    }
   }
 
-  /** Runs `program` on the full engine and with operator fusion off, and
-    * compares each result with `program` on plain Spark.
+  /** Runs `program` with graph fusion on and off, and compares each result
+    * with `program` on plain Spark. Only with graph fusion on does a
+    * subtask run narrow steps inside their consumers' plan, so these are
+    * also the arms with and without operator-level fusion.
     */
   private def onBothFusionArms(program: String, src: DataFrame)(xf: XFrame => XFrame, want: DataFrame => DataFrame): Unit =
-    for (opFusion <- Seq(true, false)) withEngine(cfg(opFusion = opFusion)) { e =>
-      withClue(s"$program, opFusion=$opFusion: ")(assertLikeSpark(xf(XFrame.source(e, "t", src)).toDF(), want(src)))
+    for (graphFusion <- Seq(true, false)) withEngine(cfg(graphFusion = graphFusion)) { e =>
+      withClue(s"$program, graphFusion=$graphFusion: ")(assertLikeSpark(xf(XFrame.source(e, "t", src)).toDF(), want(src)))
     }
 
   test("column steps keep Spark's column order on both operator-fusion arms") {
