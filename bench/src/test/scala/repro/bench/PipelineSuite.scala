@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.baseline.Engines
-import repro.core.Engine
+import repro.core.{Engine, EngineStats}
 import repro.sim.MemorySimulator
 import repro.workloads.{Census, Plasticc, Uc10}
 
@@ -14,28 +14,28 @@ class PipelineSuite extends BenchBase {
   private val sf = 0.03
   private val limit: Long = 2L << 20
 
-  private def run(name: String, mk: () => Engine)(pipeline: Engine => Long): (Double, Engine) = {
-    val e = mk()
-    val t = time() { pipeline(e) }
-    (t, e)
+  /** Times `pipeline` on the dynamic engine against the static baseline
+    * with `compareArms`, each run on a fresh engine. Returns each arm's
+    * median wall time and the stats of its last run.
+    */
+  private def dynamicVsStatic(title: String)(pipeline: Engine => Any): ((Double, EngineStats), (Double, EngineStats)) = {
+    val last = scala.collection.mutable.Map[String, EngineStats]()
+    def arm(name: String, mk: () => Engine): (String, () => Any) =
+      name -> (() => { val e = mk(); try pipeline(e) finally { last(name) = e.stats; e.reset() } })
+    val (tx, ts) = compareArms(title)(
+      arm("dynamic", () => Engines.xorbits(spark, limit)), arm("static", () => Engines.static(spark, limit)))
+    ((median(tx), last("dynamic")), (median(ts), last("static")))
   }
 
   test("Fig 8a (table): UC10 skew join — dynamic vs static") {
     val in = Uc10.inputs(spark, sf, nCustomers = 2000)
     in.transactions.count(); in.customers.count() // warm the generators
 
-    val (tx, ex) = run("xorbits", () => Engines.xorbits(spark, limit)) { e =>
+    val ((tx, exStats), (ts, stStats)) = dynamicVsStatic("Fig 8a UC10") { e =>
       Uc10.pipeline(e, in).toDF().count()
     }
-    val exStats = ex.stats
-    val exTraces = ex.stats.traces.toVector
-    ex.reset()
-    val (ts, es) = run("static", () => Engines.static(spark, limit)) { e =>
-      Uc10.pipeline(e, in).toDF().count()
-    }
-    val stStats = es.stats
-    val stTraces = es.stats.traces.toVector
-    es.reset()
+    val exTraces = exStats.traces.toVector
+    val stTraces = stStats.traces.toVector
 
     val speedup = ts / tx
     // Cluster-scale projection: same traces replayed on 64 bands at the
@@ -44,7 +44,7 @@ class PipelineSuite extends BenchBase {
     val projS = MemorySimulator.simulate(MemorySimulator.projectBands(stTraces, 64), scale = 1.0)
 
     printTable("Fig 8a (table) — TPCx-AI UC10 skew join",
-      Seq("engine", "wall s", "merges", "chunks stored", "bytes stored MB", "speedup vs static"),
+      Seq("engine", "median wall s", "merges", "chunks stored", "bytes stored MB", "speedup vs static"),
       Seq(
         Seq("Xorbits (dynamic)", fmt(tx), s"bcast=${exStats.broadcastMerges}",
           exStats.chunksMaterialized.toString, fmt(exStats.bytesMaterialized / 1e6), fmt(speedup)),
@@ -64,17 +64,12 @@ class PipelineSuite extends BenchBase {
   test("Fig 8a (table): census pipeline — dynamic vs static") {
     val df = Census.input(spark, sf)
     df.count()
-    val (tx, ex) = run("xorbits", () => Engines.xorbits(spark, limit)) { e =>
+    val ((tx, exStats), (ts, _)) = dynamicVsStatic("Fig 8a census") { e =>
       Census.pipeline(e, df).toDF().count()
     }
-    val fusedSteps = ex.stats.narrowStepsFused
-    ex.reset()
-    val (ts, es) = run("static", () => Engines.static(spark, limit)) { e =>
-      Census.pipeline(e, df).toDF().count()
-    }
-    es.reset()
+    val fusedSteps = exStats.narrowStepsFused
     printTable("Fig 8a (table) — census pipeline",
-      Seq("engine", "wall s", "narrow steps fused", "speedup vs static"),
+      Seq("engine", "median wall s", "narrow steps fused", "speedup vs static"),
       Seq(
         Seq("Xorbits (dynamic)", fmt(tx), fusedSteps.toString, fmt(ts / tx)),
         Seq("static baseline", fmt(ts), "-", "1.00")))
@@ -86,16 +81,11 @@ class PipelineSuite extends BenchBase {
   test("Fig 8a (table): plasticc pipeline — dynamic vs static") {
     val df = Plasticc.input(spark, sf)
     df.count()
-    val (tx, ex) = run("xorbits", () => Engines.xorbits(spark, limit)) { e =>
+    val ((tx, _), (ts, _)) = dynamicVsStatic("Fig 8a plasticc") { e =>
       Plasticc.pipeline(e, df).toDF().count()
     }
-    ex.reset()
-    val (ts, es) = run("static", () => Engines.static(spark, limit)) { e =>
-      Plasticc.pipeline(e, df).toDF().count()
-    }
-    es.reset()
     printTable("Fig 8a (table) — plasticc pipeline",
-      Seq("engine", "wall s", "speedup vs static"),
+      Seq("engine", "median wall s", "speedup vs static"),
       Seq(
         Seq("Xorbits (dynamic)", fmt(tx), fmt(ts / tx)),
         Seq("static baseline", fmt(ts), "1.00")))

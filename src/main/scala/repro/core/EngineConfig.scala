@@ -27,11 +27,6 @@ final case class EngineConfig(
     broadcastThreshold: Long = 4L << 20,
     /** Fixed reducer count used when dynamicTiling = false. */
     staticReducers: Int = 8,
-    /** Simulated cluster topology: workers × bands (NUMA slots) per worker. */
-    workers: Int = 4,
-    bandsPerWorker: Int = 2,
     /** Memory-tier budget of the storage service before spilling to disk. */
     memoryBudget: Long = 1L << 30,
-) {
-  def numBands: Int = workers * bandsPerWorker
-}
+)

@@ -35,8 +35,6 @@ final class EngineStats {
     * Always 0 with graph fusion off, where every task is its own subtask.
     */
   var narrowStepsFused: Long = 0
-  /** Chunk tasks merged away by graph-level fusion. */
-  var tasksFusedAway: Long = 0
   var treeReduces: Long = 0
   var shuffleReduces: Long = 0
   var broadcastMerges: Long = 0
@@ -48,6 +46,6 @@ final class EngineStats {
   override def toString: String =
     s"EngineStats(switches=$tileExecSwitches, subtasks=$subtasksExecuted, " +
       s"materialized=$chunksMaterialized/${bytesMaterialized}B, fusedNarrow=$narrowStepsFused, " +
-      s"fusedTasks=$tasksFusedAway, tree=$treeReduces, shuffle=$shuffleReduces, " +
+      s"tree=$treeReduces, shuffle=$shuffleReduces, " +
       s"bcast=$broadcastMerges, shufMerge=$shuffleMerges, remote=${remoteBytes}B)"
 }

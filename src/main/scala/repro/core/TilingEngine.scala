@@ -12,7 +12,7 @@ import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.{StorageLevel => SparkLevel}
 
-import repro.fusion.{Dag, Subtask, SubtaskGraph}
+import repro.fusion.{Subtask, SubtaskGraph}
 import repro.sched.Scheduler
 import repro.storage.StorageService
 
@@ -53,12 +53,12 @@ final class UnorderedLineageException(message: String) extends IllegalArgumentEx
   * care (see `tileMerge`).
   */
 final class Engine(val spark: SparkSession, val config: EngineConfig) {
-  import Engine.{concat, rowRange, Access, Fill, Read, SubtaskRun}
+  import Engine.{concat, rowRange, SubtaskRun}
   import TileResult._
   import TileableOp._
 
   val storage = new StorageService(config.memoryBudget)
-  val scheduler = new Scheduler(config.workers, config.bandsPerWorker)
+  val scheduler = new Scheduler(Engine.Workers, Engine.BandsPerWorker)
   val stats = new EngineStats
 
   private val idGen = new AtomicLong(0)
@@ -410,7 +410,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     if (need.isEmpty) return
     // Already in topological order of the subtask graph.
     val subtasks = SubtaskGraph.build(need, config.graphFusion)
-    stats.tasksFusedAway += (need.size - subtasks.size)
 
     val stById = subtasks.map(st => st.id -> st).toMap
     val owner: Map[Long, Long] = subtasks.flatMap(st => st.tasks.map(t => t.id -> st.id)).toMap
@@ -427,10 +426,11 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       },
     )
 
-    val targetIds = targets.map(_.id).toSet
-    val succAll = Dag.successors(need, (t: ChunkTask) => t.inputs)
+    // The chunks to store: the targets, and every chunk that another
+    // subtask of this call reads.
+    val exposed = targets.map(_.id).toSet ++ subtasks.flatMap(_.externalInputs.map(_.id))
     SubtaskGraph.waves(subtasks).foreach { wave =>
-      runWave(wave, st => runSubtask(st, bands(st.id), targetIds, succAll)).foreach(commit)
+      runWave(wave, st => runSubtask(st, bands(st.id), exposed)).foreach(commit)
     }
   }
 
@@ -445,12 +445,11 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     val results = new Array[Try[SubtaskRun]](wave.size)
     val next = new AtomicInteger(0)
     val failed = new AtomicBoolean(false)
-    val pool = Engine.bandThreads(config.numBands)
     // `withThreadLocalCaptured` makes `spark` the band thread's active
     // session and gives it the caller's Spark local properties (job group,
     // scheduler pool), so its jobs look as if the caller ran them.
-    val lanes = Vector.fill(math.min(wave.size, config.numBands)) {
-      SQLExecution.withThreadLocalCaptured(spark.asInstanceOf[classic.SparkSession], pool) {
+    val lanes = Vector.fill(math.min(wave.size, scheduler.numBands)) {
+      SQLExecution.withThreadLocalCaptured(spark.asInstanceOf[classic.SparkSession], Engine.bandPool) {
         var i = next.getAndIncrement()
         while (i < wave.size && !failed.get) {
           results(i) = try Success(run(wave(i))) catch { case e: Throwable => Failure(e) }
@@ -462,31 +461,24 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     lanes.foreach(_.join())
     val runs = results.toVector.filter(_ != null)
     runs.collectFirst { case Failure(e) => e }.foreach { e =>
-      runs.foreach(_.foreach(r => dropFills(r.accesses)))
+      runs.foreach(_.foreach(r => dropFills(r.fills.values)))
       throw e
     }
     runs.map(_.get)
   }
 
   /** Run one subtask's chunk tasks and fill the cache of each exposed
-    * chunk (a target, or a chunk consumed outside the subtask). Touches
-    * no engine state: it reads stored chunks without counting the reads,
-    * and registers nothing. `commit` does both, in the order recorded.
-    * On failure, the chunks it filled are dropped.
+    * chunk, which its consumers inside the subtask then read. Touches no
+    * engine state: it reads stored chunks without counting the reads, and
+    * registers nothing; `commit` does both. On failure, the chunks it
+    * filled are dropped.
     */
-  private def runSubtask(
-      st: Subtask,
-      band: Int,
-      targetIds: Set[Long],
-      succAll: Map[ChunkTask, Vector[ChunkTask]],
-  ): SubtaskRun = {
+  private def runSubtask(st: Subtask, band: Int, exposed: Set[Long]): SubtaskRun = {
     val t0 = System.nanoTime()
-    val inSt = st.taskIds
     val local = mutable.Map[Long, DataFrame]()
-    val accesses = mutable.ArrayBuffer[Access]()
+    val fills = mutable.Map[Long, StorageService.Filled]()
 
-    def dfOf(t: ChunkTask): DataFrame =
-      local.getOrElse(t.id, { accesses += Read(t); storage.read(keyOf(t)) })
+    def dfOf(t: ChunkTask): DataFrame = local.getOrElse(t.id, storage.read(keyOf(t)))
 
     // A fused subtask must compute each member ONCE (the paper's subtask
     // semantics): outputs consumed by several internal tasks — e.g. a map
@@ -494,25 +486,23 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     // persist, since chunk fragments are lazy plans that would otherwise
     // recompute.
     val internalUses = mutable.Map[Long, Int]().withDefaultValue(0)
-    st.tasks.foreach(_.inputs.foreach(i => if (inSt.contains(i.id)) internalUses(i.id) += 1))
+    st.tasks.foreach(_.inputs.foreach(i => if (st.taskIds.contains(i.id)) internalUses(i.id) += 1))
 
     val temps = mutable.ArrayBuffer[DataFrame]()
-    var narrowFused = 0L
     try {
       st.tasks.foreach { t =>
         val out = t.compute(t.inputs.map(dfOf))
-        local(t.id) = out
-        // Fill exposed outputs immediately (targets, or chunks consumed
-        // outside this subtask) so downstream internal consumers reuse the
-        // materialized chunk instead of recomputing the plan. Every task
-        // here is unmaterialized: `execute` runs only the closure of what
-        // is not stored.
-        if (targetIds.contains(t.id) || succAll(t).exists(s => !inSt.contains(s.id)))
-          accesses += Fill(t, storage.putFill(out))
-        else {
-          // Operator-level fusion: the narrow step is part of its
-          // consumers' plan, which Catalyst collapses and compiles.
-          if (t.narrow) narrowFused += 1
+        // Every task here is unmaterialized: `execute` runs only the
+        // closure of what is not stored. An exposed output is filled at
+        // once, and its consumers here read the filled chunk.
+        if (exposed.contains(t.id)) {
+          val filled = storage.putFill(out)
+          fills(t.id) = filled
+          local(t.id) = filled.df
+        } else {
+          // Operator-level fusion: the step is part of its consumers'
+          // plan, which Catalyst collapses and compiles.
+          local(t.id) = out
           if (internalUses(t.id) > 1) {
             out.persist(SparkLevel.MEMORY_AND_DISK)
             temps += out
@@ -520,40 +510,44 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         }
       }
     } catch {
-      case e: Throwable => dropFills(accesses); throw e
+      case e: Throwable => dropFills(fills.values); throw e
     } finally temps.foreach(_.unpersist(false))
-    SubtaskRun(st, band, accesses.toVector, narrowFused, (System.nanoTime() - t0) / 1e6)
+    SubtaskRun(st, band, fills.toMap, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** Unpersist the chunks a subtask filled but did not commit. */
-  private def dropFills(accesses: Iterable[Access]): Unit =
-    accesses.foreach { case Fill(_, f) => f.df.unpersist(false); case _ => }
+  /** Unpersist chunks that were filled but not committed. */
+  private def dropFills(fills: Iterable[StorageService.Filled]): Unit =
+    fills.foreach(_.df.unpersist(false))
 
-  /** Record a run subtask, on the calling thread: replay its storage reads
-    * and register its filled chunks (which may spill) in the order it made
-    * them, then update the counters and the trace. The LRU clock, spill
-    * victims, counters and trace are those of running the subtasks one
-    * after another in this order. Until its commit, a wave's filled chunks
-    * are outside the memory tier's budget.
+  /** Record a run subtask, on the calling thread, as running it here
+    * would have: walking its tasks in order, count a storage read of each
+    * input from outside the subtask, and register each filled chunk (which
+    * may spill); then update the counters and the trace. The LRU clock,
+    * spill victims, counters and trace are those of running the subtasks
+    * one after another in this order. Until its commit, a wave's filled
+    * chunks are outside the memory tier's budget.
     */
   private def commit(run: SubtaskRun): Unit = {
     var inputBytes = 0L
     var outputBytes = 0L
     var remoteBytes = 0L
-    run.accesses.foreach {
-      case Read(t) =>
-        val bytes = metaOf(t).map(_.bytes).getOrElse(0L)
+    run.st.tasks.foreach { t =>
+      t.inputs.filterNot(i => run.st.taskIds.contains(i.id)).foreach { i =>
+        val bytes = metaOf(i).map(_.bytes).getOrElse(0L)
         inputBytes += bytes
-        if (!storage.bandOf(keyOf(t)).contains(run.band)) remoteBytes += bytes
-        storage.recordGet(keyOf(t), run.band)
-      case Fill(t, filled) =>
-        val meta = storage.putRegister(keyOf(t), filled, run.band)
-        stats.chunksMaterialized += 1
-        stats.bytesMaterialized += meta.bytes
-        outputBytes += meta.bytes
+        if (!storage.bandOf(keyOf(i)).contains(run.band)) remoteBytes += bytes
+        storage.recordGet(keyOf(i), run.band)
+      }
+      run.fills.get(t.id) match {
+        case Some(filled) =>
+          val meta = storage.putRegister(keyOf(t), filled, run.band)
+          stats.chunksMaterialized += 1
+          stats.bytesMaterialized += meta.bytes
+          outputBytes += meta.bytes
+        case None => if (t.narrow) stats.narrowStepsFused += 1
+      }
     }
     stats.tasksExecuted += run.st.tasks.size
-    stats.narrowStepsFused += run.narrowFused
     stats.subtasksExecuted += 1
     stats.traces += SubtaskTrace(
       run.st.id, run.st.tasks.map(_.label), run.band, inputBytes, outputBytes, remoteBytes, run.wallMs)
@@ -592,43 +586,34 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 }
 
 object Engine {
-  /** A subtask run on a band, not yet committed: the stored chunks it read
-    * and the chunks it filled, in order, and what it measured.
+  /** A subtask run on a band, not yet committed: the chunks it filled, by
+    * task id, and its wall time.
     */
   private final case class SubtaskRun(
       st: Subtask,
       band: Int,
-      accesses: Vector[Access],
-      narrowFused: Long,
+      fills: Map[Long, StorageService.Filled],
       wallMs: Double,
   )
 
-  private sealed trait Access
-  private final case class Read(t: ChunkTask) extends Access
-  private final case class Fill(t: ChunkTask, filled: StorageService.Filled) extends Access
+  /** The simulated cluster: workers × bands (NUMA slots) per worker. */
+  private val Workers = 4
+  private val BandsPerWorker = 2
 
-  /** The band threads, shared by every engine in the process: daemon
-    * threads, at most as many as the most bands an engine has asked for,
-    * which exit after a minute idle.
+  /** The band threads, shared by every engine in the process: one daemon
+    * thread per band at most, which exits after a minute idle.
     */
-  private val bandPool = {
+  private val bandPool: ExecutorService = {
     val n = new AtomicInteger(0)
     val factory: ThreadFactory = r => {
       val t = new Thread(r, s"repro-band-${n.incrementAndGet()}")
       t.setDaemon(true)
       t
     }
-    val p = new ThreadPoolExecutor(1, 1, 60, TimeUnit.SECONDS, new LinkedBlockingQueue[Runnable](), factory)
+    val bands = Workers * BandsPerWorker
+    val p = new ThreadPoolExecutor(bands, bands, 60, TimeUnit.SECONDS, new LinkedBlockingQueue[Runnable](), factory)
     p.allowCoreThreadTimeOut(true)
     p
-  }
-
-  private def bandThreads(bands: Int): ExecutorService = bandPool.synchronized {
-    if (bands > bandPool.getMaximumPoolSize) {
-      bandPool.setMaximumPoolSize(bands)
-      bandPool.setCorePoolSize(bands)
-    }
-    bandPool
   }
 
   /** Chunks per input executed eagerly to collect metadata before a

@@ -1,5 +1,7 @@
 package repro.fusion
 
+import scala.collection.mutable
+
 /** Coloring-based graph-level fusion (paper §V-A, Fig 7).
   *
   * Works over any DAG given predecessor/successor accessors. The three
@@ -13,7 +15,13 @@ package repro.fusion
   *     that don't, the same-colored successors are recolored fresh, and
   *     the new colors re-propagate downstream.
   *
-  * Adjacent nodes with equal colors are then merged into one subtask.
+  * Each color is then one subtask. A color class is connected: every
+  * color has one origin node, the only node that takes it fresh (a root,
+  * a node with mixed predecessors, or a separated node), and every other
+  * node of that color inherits it from predecessors that all carry it.
+  * Walking predecessors from any member therefore stays inside the class
+  * and ends at its origin, which is the class's first member in
+  * topological order.
   */
 object Coloring {
 
@@ -29,27 +37,19 @@ object Coloring {
     var next = 0
     def fresh(): Int = { next += 1; next }
 
-    // Stable fresh colors: roots and mixed-predecessor nodes keep the same
-    // id across re-propagations so step 3 converges deterministically.
-    val rootColor = scala.collection.mutable.Map[N, Int]()
-    val mixedColor = scala.collection.mutable.Map[N, Int]()
-    val explicit = scala.collection.mutable.Map[N, Int]()
+    // A root or mixed-predecessor node keeps its fresh color across
+    // re-propagations. Fresh colors are unique either way, so this only
+    // keeps the ids bounded.
+    val origin = mutable.Map[N, Int]()
+    val explicit = mutable.Map[N, Int]()
 
     def forward(): Map[N, Int] = {
-      val out = scala.collection.mutable.LinkedHashMap[N, Int]()
+      val out = mutable.HashMap[N, Int]()
       nodes.foreach { n =>
-        val c = explicit.get(n) match {
-          case Some(e) => e
-          case None =>
-            val ps = preds(n)
-            if (ps.isEmpty) rootColor.getOrElseUpdate(n, fresh())
-            else {
-              val cs = ps.map(out).distinct
-              if (cs.size == 1) cs.head
-              else mixedColor.getOrElseUpdate(n, fresh())
-            }
-        }
-        out(n) = c
+        out(n) = explicit.getOrElse(n, preds(n).map(out).distinct match {
+          case Seq(c) => c
+          case _      => origin.getOrElseUpdate(n, fresh())
+        })
       }
       out.toMap
     }
@@ -68,14 +68,11 @@ object Coloring {
     colors
   }
 
-  /** Group nodes into fused subtasks: maximal weakly-connected components
-    * of equal color. `nodes` must be topologically ordered. Returns groups
-    * in order of their first member in `nodes`, each group keeping its
-    * members in `nodes` order. Every color has one origin node (a root,
-    * mixed-predecessor or separated node) and every other node of that
-    * color has all its predecessors inside its group, so a group's
-    * external inputs all precede its first member: the group order is a
-    * topological order of the group graph.
+  /** Group nodes into fused subtasks: the color classes, in order of
+    * their first member in `nodes`, each keeping its members in `nodes`
+    * order. `nodes` must be topologically ordered. A class's first member
+    * is its origin, so every input from outside the class precedes it:
+    * the group order is a topological order of the group graph.
     */
   def fuse[N](
       nodes: Vector[N],
@@ -83,24 +80,7 @@ object Coloring {
       succs: N => Seq[N],
   ): Vector[Vector[N]] = {
     val colors = color(nodes, preds, succs)
-    val group = scala.collection.mutable.Map[N, Int]()
-    var nGroups = 0
-    // Union along edges whose endpoints share a color, walking topo order.
-    nodes.foreach { n =>
-      val samePreds = preds(n).filter(p => colors(p) == colors(n) && group.contains(p))
-      if (samePreds.nonEmpty) group(n) = group(samePreds.head)
-      else { group(n) = nGroups; nGroups += 1 }
-      // Merge if two same-color predecessors landed in different groups
-      // (diamond within one color): remap the later group.
-      val gids = preds(n).filter(p => colors(p) == colors(n)).flatMap(group.get).distinct
-      if (gids.size > 1) {
-        val target = gids.min
-        val others = gids.toSet - target
-        group.keys.toVector.foreach(k => if (others.contains(group(k))) group(k) = target)
-        group(n) = target
-      }
-    }
-    val members = nodes.groupBy(group)
-    nodes.map(group).distinct.map(members)
+    val classes = nodes.groupBy(colors)
+    nodes.map(colors).distinct.map(classes)
   }
 }

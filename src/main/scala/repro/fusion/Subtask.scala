@@ -9,12 +9,10 @@ import repro.core.ChunkTask
   * @param tasks member tasks in topological order
   */
 final case class Subtask(id: Long, tasks: Vector[ChunkTask]) {
-  def taskIds: Set[Long] = tasks.map(_.id).toSet
+  val taskIds: Set[Long] = tasks.map(_.id).toSet
   /** External input tasks (producers outside this subtask). */
-  def externalInputs: Vector[ChunkTask] = {
-    val ids = taskIds
-    tasks.flatMap(_.inputs).filterNot(t => ids.contains(t.id)).distinctBy(_.id)
-  }
+  val externalInputs: Vector[ChunkTask] =
+    tasks.flatMap(_.inputs).filterNot(t => taskIds.contains(t.id)).distinctBy(_.id)
 }
 
 /** Builds the subtask graph from a chunk-task subgraph. */

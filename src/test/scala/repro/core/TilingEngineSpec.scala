@@ -599,7 +599,7 @@ class TilingEngineSpec extends SparkSpec {
     var bands = 0
     for (_ <- 1 to 50) {
       val e = Engines.xorbits(spark, 64 << 10)
-      bands = e.config.numBands
+      bands = e.scheduler.numBands
       try XFrame.source(e, "a", a).concat(XFrame.source(e, "b", b)).toDF().collect()
       finally e.reset()
     }
@@ -621,7 +621,7 @@ class TilingEngineSpec extends SparkSpec {
       val storageBefore = e.storage.stats
       val err = intercept[IllegalStateException](e.execute(chunks))
       assert(err.getMessage == "boom")
-      // Planning ran (graph fusion counts what it fused); nothing was committed.
+      // Nothing was committed.
       val st = e.stats
       assert(st.subtasksExecuted == 0 && st.tasksExecuted == 0 && st.chunksMaterialized == 0 &&
         st.narrowStepsFused == 0 && st.traces.isEmpty, st.toString)
@@ -629,6 +629,42 @@ class TilingEngineSpec extends SparkSpec {
       assert(!chunks.exists(e.isMaterialized))
       assert(spark.sparkContext.getPersistentRDDs.keySet == cachedBefore,
         "the chunks the failed wave filled must be unpersisted")
+    }
+  }
+
+  test("a target that its own subtask also reads is computed once") {
+    withEngine(cfg()) { e =>
+      val calls = spark.sparkContext.longAccumulator("w calls")
+      val counted = udf((v: Double) => { calls.add(1); v * 2 })
+      val src = keys(1000)
+      val x = XFrame.source(e, "t", src).withColumn("w", counted(col("v")))
+      assert(x.numChunks() == 1)
+      // One subtask: x's chunk is a target, and the filter in the same
+      // subtask reads it.
+      val got = x.concat(x.filter(col("w") > 1.0)).toDF()
+      assert(calls.value == 1000, s"${calls.value} calls of w's UDF for 1000 rows")
+      val want = src.withColumn("w", col("v") * 2)
+      assertLikeSpark(got, want.unionByName(want.filter(col("w") > 1.0)))
+    }
+  }
+
+  test("a task reading one stored chunk through two inputs records two reads of it") {
+    withEngine(cfg()) { e =>
+      val src = keys(200)
+      val x = XFrame.source(e, "t", src)
+      x.toDF()
+      val bytes = e.metaOf(e.tile(x.tileable).head).get.bytes
+      val m = x.merge(x, Seq("k"))
+      val chunks = e.tile(m.tileable)
+      val gets = e.storage.stats.gets
+      val traces = e.stats.traces.size
+      e.execute(chunks)
+      val added = e.stats.traces.drop(traces)
+      assert(added.map(_.labels) == Seq(Seq("Merge::join[0]")), added.toString)
+      assert(e.storage.stats.gets - gets == 2)
+      assert(added.head.inputBytes == 2 * bytes)
+      assertLikeSpark(m.toDF(),
+        src.withColumnRenamed("v", "v_x").join(src.withColumnRenamed("v", "v_y"), Seq("k")))
     }
   }
 
@@ -695,7 +731,7 @@ class TilingEngineSpec extends SparkSpec {
       XFrame.source(e, "t", keys(40000)).groupby("k").agg(SumAgg("v", "sv")).toDF()
       val bands = e.stats.traces.map(_.band).toSet
       assert(bands.size > 1, "work should spread over multiple bands")
-      assert(bands.forall(b => b >= 0 && b < e.config.numBands))
+      assert(bands.forall(b => b >= 0 && b < e.scheduler.numBands))
     }
   }
 

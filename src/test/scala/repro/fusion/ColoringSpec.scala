@@ -90,14 +90,23 @@ class ColoringSpec extends AnyFunSuite {
     assert(groups == Vector(Set(1, 2, 3, 4)))
   }
 
-  private def randomDagGen: Gen[Map[Int, Seq[Int]]] =
+  /** A DAG on nodes 1..n whose node i draws its predecessors from 1 until i. */
+  private def dagGen(maxNodes: Int)(predsOf: Int => Gen[Seq[Int]]): Gen[Map[Int, Seq[Int]]] =
     for {
-      n <- Gen.choose(1, 14)
+      n <- Gen.choose(1, maxNodes)
       edges <- Gen.sequence[Vector[Seq[Int]], Seq[Int]]((1 to n).toVector.map { i =>
-        if (i == 1) Gen.const(Seq.empty[Int])
-        else Gen.someOf(1 until i).map(ps => ps.toSeq)
+        if (i == 1) Gen.const(Seq.empty[Int]) else predsOf(i)
       })
     } yield (1 to n).map(i => i -> edges(i - 1)).toMap
+
+  /** Small dense DAGs (any subset of earlier nodes as predecessors), and
+    * larger sparse ones (0–3 predecessors each), whose long chains,
+    * fan-outs and separations run through many nodes.
+    */
+  private def randomDagGen: Gen[Map[Int, Seq[Int]]] = Gen.oneOf(
+    dagGen(14)(i => Gen.someOf(1 until i).map(_.toSeq)),
+    dagGen(60)(i => Gen.choose(0, math.min(3, i - 1)).flatMap(k => Gen.pick(k, 1 until i)).map(_.toSeq)),
+  )
 
   test("property: every node gets a color; groups partition the DAG") {
     val prop = Prop.forAll(randomDagGen) { g =>
@@ -141,6 +150,8 @@ class ColoringSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  // `fuse` returns the color classes as they are, so this property is the
+  // check that every color class is connected, i.e. one subtask.
   test("property: groups are weakly connected") {
     val prop = Prop.forAll(randomDagGen) { g =>
       val (nodes, p, s) = graph(g)
