@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.baseline.Engines
+import repro.core.Engine
 import repro.tpch.{TpchCtx, TpchData, TpchQueries}
 import repro.workloads.Census
 
@@ -17,24 +18,31 @@ class AblationSuite extends BenchBase {
   private val sf = 0.01
   private val limit: Long = 2L << 20
 
-  private def runQuery(id: Int, mk: () => repro.core.Engine): Double = {
-    val tables = TpchData.tables(spark, sf)
+  private def runQuery(id: Int, mk: () => Engine): Unit = {
     val e = mk()
-    try {
-      val ctx = TpchCtx(e, tables)
-      time() { TpchQueries.byId(id).run(ctx).toDF().count() }
-    } finally e.reset()
+    try TpchQueries.byId(id).run(TpchCtx(e, TpchData.tables(spark, sf))).toDF().count()
+    finally e.reset()
+  }
+
+  /** Median wall seconds of query `id` on each of two engines, timed
+    * with `compareArms`. A stored chunk costs one job, so one cold run of
+    * each arm would time the JVM's warm-up more than the engines.
+    */
+  private def medians(title: String, id: Int)(on: (String, () => Engine), off: (String, () => Engine)): (Double, Double) = {
+    val (a, b) = compareArms(s"$title, Q$id")(
+      on._1 -> (() => runQuery(id, on._2)), off._1 -> (() => runQuery(id, off._2)))
+    (median(a), median(b))
   }
 
   test("Fig 9a (table): dynamic tiling on/off (Q2, Q7)") {
     val rows = Seq(2, 7).map { id =>
-      val on = runQuery(id, () => Engines.xorbits(spark, limit))
-      val off = runQuery(id, () => Engines.static(spark, limit))
+      val (on, off) = medians("Fig 9a dynamic tiling", id)(
+        "dy on" -> (() => Engines.xorbits(spark, limit)), "dy off" -> (() => Engines.static(spark, limit)))
       Seq(s"Q$id", fmt(on), fmt(off), fmt(off / on),
         if (id == 2) "7.08x" else "10.59x")
     }
     printTable("Fig 9a (table) — dynamic tiling ablation",
-      Seq("query", "dy on (s)", "dy off (s)", "speedup ours", "speedup paper"), rows)
+      Seq("query", "dy on median (s)", "dy off median (s)", "speedup ours", "speedup paper"), rows)
     rows.foreach { r =>
       assert(r(3).toDouble > 1.0, s"${r.head}: dynamic tiling must speed up merge-heavy queries")
     }
@@ -42,13 +50,13 @@ class AblationSuite extends BenchBase {
 
   test("Fig 9b (table): graph-level fusion on/off (Q7, Q8)") {
     val rows = Seq(7, 8).map { id =>
-      val on = runQuery(id, () => Engines.xorbits(spark, limit))
-      val off = runQuery(id, () => Engines.noGraphFusion(spark, limit))
+      val (on, off) = medians("Fig 9b graph fusion", id)(
+        "g on" -> (() => Engines.xorbits(spark, limit)), "g off" -> (() => Engines.noGraphFusion(spark, limit)))
       Seq(s"Q$id", fmt(on), fmt(off), fmt(off / on),
         if (id == 7) "3.80x" else "2.04x")
     }
     printTable("Fig 9b (table) — graph-level fusion ablation",
-      Seq("query", "g on (s)", "g off (s)", "speedup ours", "speedup paper"), rows)
+      Seq("query", "g on median (s)", "g off median (s)", "speedup ours", "speedup paper"), rows)
     rows.foreach { r =>
       assert(r(3).toDouble > 1.0, s"${r.head}: graph fusion must avoid materialization cost")
     }

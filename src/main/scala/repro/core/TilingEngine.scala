@@ -6,8 +6,7 @@ import scala.annotation.tailrec
 import scala.collection.mutable
 import scala.util.{Failure, Success, Try}
 
-import org.apache.spark.rdd.{PartitionCoalescer, PartitionGroup, RDD}
-import org.apache.spark.sql.{classic, Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{classic, CachedLeaf, Column, DataFrame, SparkSession}
 import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.{StorageLevel => SparkLevel}
@@ -46,11 +45,12 @@ final class UnorderedLineageException(message: String) extends IllegalArgumentEx
   * comes from running many chunks, not from splitting one. Spark's
   * `SinglePartition` satisfies the distribution every aggregate, window
   * and sort requires, so over one-partition inputs Spark plans no shuffle
-  * inside a chunk, whatever `spark.sql.shuffle.partitions` says. Source
-  * slices, `Engine.concat`, `StorageService.put` and disk-tier spills
-  * coalesce (without a shuffle) to one partition: the places where more
-  * partitions, or an unknown partitioning, can appear. Joins take the same
-  * care (see `tileMerge`).
+  * inside a chunk, whatever `spark.sql.shuffle.partitions` says. Stored
+  * chunks and sources are leaves that declare `SinglePartition`
+  * (`CachedLeaf`), and a disk-tier spill keeps it. `Engine.concat` and
+  * `StorageService.put` coalesce (without a shuffle) to one partition:
+  * the places where more partitions, or an unknown partitioning, can
+  * appear. Joins take the same care (see `tileMerge`).
   */
 final class Engine(val spark: SparkSession, val config: EngineConfig) {
   import Engine.{concat, rowRange, SubtaskRun}
@@ -63,8 +63,8 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private val idGen = new AtomicLong(0)
   private val tiledCache = new java.util.IdentityHashMap[Tileable, Vector[ChunkTask]]()
-  /** Each source DataFrame, by reference, with its indexed copy and rows. */
-  private val sourceCache = new java.util.IdentityHashMap[DataFrame, (DataFrame, Long)]()
+  /** Each source DataFrame, by reference, with the leaf its chunks cut. */
+  private val sourceCache = new java.util.IdentityHashMap[DataFrame, CachedLeaf]()
 
   // ---------------------------------------------------------------------
   // Task construction
@@ -240,25 +240,21 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     }
   }
 
+  /** A source's chunks cut row ranges out of one leaf over its cache: the
+    * caller's, if the caller cached the source, else one the engine fills
+    * in one parallel job. The leaf is one partition holding the source's
+    * rows in order, so that every chunk cuts its row range out of the same
+    * order.
+    */
   private def tileSource(s: SourceOp): TileResult = {
-    val (indexed, rows) = sourceCache.computeIfAbsent(s.df, _ => {
-      // Through an RDD, so that each chunk plan's leaf is one
-      // `Scan ExistingRDD`, whatever plan built the source. The copy is one
-      // partition holding the source's rows in order, so that every chunk
-      // cuts its row range out of the same order.
-      val one = s.df.rdd.coalesce(1, shuffle = false, Some(Engine.InOrder))
-      val ind = spark.createDataFrame(one, s.df.schema).persist(SparkLevel.MEMORY_AND_DISK)
-      // Counted as `StorageService.putFill` counts: one job, no exchange.
-      val rows = ind.queryExecution.toRdd
-      (ind, spark.sparkContext.runJob(rows, StorageService.countRows, rows.partitions.indices).sum)
-    })
+    val indexed = sourceCache.computeIfAbsent(s.df, _ => CachedLeaf.source(s.df, s"source ${s.sourceName}"))
+    val rows = indexed.rows
     val bytes = rows * SchemaBytes.rowWidth(s.df.schema)
     val nChunks = math.max(1L, (bytes + config.chunkSizeLimit - 1) / config.chunkSizeLimit).toInt
     val label = s"Read(${s.sourceName})"
-    // The copy is one partition already; `coalesce(1)` lets Spark see that.
     Tiled(
-      if (nChunks == 1) Vector(task(s"$label[0]", Vector.empty, _ => indexed.coalesce(1), ordered = true))
-      else splitRows(label, Vector.empty, rows, nChunks)(_ => indexed.coalesce(1)))
+      if (nChunks == 1) Vector(task(s"$label[0]", Vector.empty, _ => indexed.df, ordered = true))
+      else splitRows(label, Vector.empty, rows, nChunks)(_ => indexed.df))
   }
 
   // -- Narrow ------------------------------------------------------------
@@ -461,7 +457,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     lanes.foreach(_.join())
     val runs = results.toVector.filter(_ != null)
     runs.collectFirst { case Failure(e) => e }.foreach { e =>
-      runs.foreach(_.foreach(r => dropFills(r.fills.values)))
+      runs.foreach(_.foreach(_.fills.values.foreach(storage.discard)))
       throw e
     }
     runs.map(_.get)
@@ -496,7 +492,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         // closure of what is not stored. An exposed output is filled at
         // once, and its consumers here read the filled chunk.
         if (exposed.contains(t.id)) {
-          val filled = storage.putFill(out)
+          val filled = storage.putFill(keyOf(t), out)
           fills(t.id) = filled
           local(t.id) = filled.df
         } else {
@@ -510,14 +506,10 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
         }
       }
     } catch {
-      case e: Throwable => dropFills(fills.values); throw e
+      case e: Throwable => fills.values.foreach(storage.discard); throw e
     } finally temps.foreach(_.unpersist(false))
     SubtaskRun(st, band, fills.toMap, (System.nanoTime() - t0) / 1e6)
   }
-
-  /** Unpersist chunks that were filled but not committed. */
-  private def dropFills(fills: Iterable[StorageService.Filled]): Unit =
-    fills.foreach(_.df.unpersist(false))
 
   /** Record a run subtask, on the calling thread, as running it here
     * would have: walking its tasks in order, count a storage read of each
@@ -576,10 +568,12 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   /** Number of output chunks the tileable tiles into. */
   def numChunks(t: Tileable): Int = tile(t).size
 
-  /** Drop all cached state (chunks, sources, tiling cache). */
+  /** Drop all cached state (chunks, sources, tiling cache). A source the
+    * caller cached stays cached.
+    */
   def reset(): Unit = {
     storage.reset()
-    sourceCache.values.forEach(_._1.unpersist(true))
+    sourceCache.values.forEach(_.release(blocking = true))
     sourceCache.clear()
     tiledCache.clear()
   }
@@ -624,21 +618,6 @@ object Engine {
   val CombineFanIn = 4
   /** Most reducers a measured shuffle reduce or merge uses. */
   val MaxReducers = 64
-
-  /** Coalesces an RDD's partitions into one, in partition order. Spark's
-    * default coalescer puts first the partitions that have a preferred
-    * location (a cached block, or a parent's), so it reorders a source that
-    * is cached in part. The scheduler's view of those locations also
-    * changes as other jobs start, so two chunks of one source could cut
-    * their row ranges out of two different orders.
-    */
-  private object InOrder extends PartitionCoalescer with Serializable {
-    def coalesce(maxPartitions: Int, parent: RDD[_]): Array[PartitionGroup] = {
-      val group = new PartitionGroup()
-      group.partitions ++= parent.partitions
-      Array(group)
-    }
-  }
 
   /** Concatenate chunk fragments into one chunk. A union has one
     * partition per input; coalescing (no shuffle) keeps the chunk one

@@ -2,20 +2,26 @@ package repro.storage
 
 import scala.collection.mutable
 
-import org.apache.spark.TaskContext
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{CachedLeaf, DataFrame}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.LogicalRDD
+import org.apache.spark.sql.types.StructType
 import org.apache.spark.storage.{StorageLevel => SparkLevel}
 
 import repro.core.{ChunkMeta, SchemaBytes}
 
-/** Storage tier of a chunk (paper §V-C StorageLevel). */
+/** Storage tier of a chunk (paper §V-C StorageLevel). Either way the
+  * stored chunk is a lineage-free leaf over blocks in Spark's block
+  * manager, one partition.
+  */
 sealed trait Tier
 object Tier {
-  /** In-memory (Spark cache, the shared-memory analog). */
+  /** In memory: Spark's columnar cache, filled without registering it
+    * with Spark's cache manager (the shared-memory analog).
+    */
   case object Memory extends Tier
-  /** Spilled to a disk-only local checkpoint in Spark's block manager
-    * (the disk analog).
+  /** Spilled to a disk-only local checkpoint of the memory leaf (the disk
+    * analog).
     */
   case object Disk extends Tier
 }
@@ -36,28 +42,30 @@ final case class StorageStats(
   *
   * Holds the chunks produced by all operators, keyed by a unique id.
   * Every worker reads and writes via `put`/`get` without knowing where
-  * the data actually lives. Both tiers are Spark's block manager: the
-  * memory tier is the Dataset cache, the disk tier a disk-only local
-  * checkpoint. When the memory tier exceeds its budget,
+  * the data actually lives or how it was made: a stored chunk is a leaf
+  * over its blocks (`CachedLeaf`), so plans built on it do not carry its
+  * lineage. Both tiers are Spark's block manager: the memory tier is a
+  * columnar cache named after the chunk's key, the disk tier a disk-only
+  * local checkpoint. When the memory tier exceeds its budget,
   * least-recently-used chunks are spilled.
+  *
+  * A put whose plan is deterministic and has the same result and schema
+  * (column names included) as a stored chunk's shares that chunk: the new
+  * key points to it, no job runs and no bytes are added. A shared chunk
+  * has one tier and one LRU clock, and is released when its last key is
+  * freed. Only registered chunks are shared, so what is shared does not
+  * depend on which band fills first.
   *
   * Bands are tracked per chunk so the engine can attribute remote
   * (cross-band) reads — the simulated network-transfer statistic that
   * the locality-aware scheduler minimizes.
   */
 final class StorageService(memoryBudget: Long) {
-  import StorageService.Filled
+  import StorageService.{Chunk, Filled}
 
-  private final class Entry(
-      val key: String,
-      var df: DataFrame,
-      val meta: ChunkMeta,
-      var tier: Tier,
-      var band: Int,
-      var lastUse: Long,
-  )
-
-  private val entries = mutable.LinkedHashMap[String, Entry]()
+  private val entries = mutable.LinkedHashMap[String, Chunk]()
+  /** Registered chunks with a deterministic plan, by its semantic hash. */
+  private val byPlan = mutable.HashMap[Int, List[Chunk]]()
   private var tick = 0L
   private var memBytes = 0L
   private var peakMem = 0L
@@ -69,43 +77,57 @@ final class StorageService(memoryBudget: Long) {
     */
   def put(key: String, df: DataFrame, band: Int): ChunkMeta = {
     require(!contains(key), s"chunk $key already stored")
-    putRegister(key, putFill(df), band)
+    putRegister(key, putFill(key, df), band)
   }
 
-  /** The Spark half of a put: fill the chunk's cache in one Spark job,
-    * outside the service's lock, so that several bands can fill chunks at
-    * once. Nothing is registered: `putRegister` stores the chunk, or the
-    * caller unpersists `Filled.df` to drop it.
+  /** The Spark half of a put of `df` as `key`: share a registered chunk
+    * with the same result, or fill a cache named `key` in one Spark job.
+    * Runs outside the service's lock, so that several bands can fill
+    * chunks at once. Nothing is registered: `putRegister` stores the
+    * chunk, or `discard` drops it.
     */
-  def putFill(df: DataFrame): Filled = {
-    val persisted = df.coalesce(1).persist(SparkLevel.MEMORY_AND_DISK)
-    // Count in the job that fills the cache. `persisted.count()` would plan
-    // a second Dataset over the full lineage, with an extra exchange job
-    // when that plan misses the cache.
-    try {
-      val rdd = persisted.queryExecution.toRdd
-      val rows = rdd.sparkContext.runJob(rdd, StorageService.countRows, rdd.partitions.indices).sum
-      Filled(persisted, ChunkMeta(rows, rows * SchemaBytes.rowWidth(df.schema)))
-    } catch {
-      case e: Throwable => persisted.unpersist(false); throw e
+  def putFill(key: String, df: DataFrame): Filled = {
+    val plan = df.queryExecution.analyzed
+    // Canonicalizing the plan is the costly part of the lookup.
+    val hash = Option.when(plan.deterministic)(plan.semanticHash())
+    val same = hash.flatMap(h => synchronized(byPlan.getOrElse(h, Nil))
+      .find(c => c.schema == df.schema && c.plan.sameResult(plan)))
+    same match {
+      case Some(c) => new Filled(c, shared = true)
+      case None =>
+        val leaf = CachedLeaf.fill(df, key)
+        val meta = ChunkMeta(leaf.rows, leaf.rows * SchemaBytes.rowWidth(df.schema))
+        new Filled(new Chunk(plan, hash, df.schema, leaf, meta), shared = false)
     }
   }
 
   /** The bookkeeping half of a put: register a filled chunk as `key` on
     * `band` in the memory tier, then spill least-recently-used chunks
-    * while the tier is over budget.
+    * while the tier is over budget. A shared chunk stays where it is.
     */
   def putRegister(key: String, filled: Filled, band: Int): ChunkMeta = synchronized {
     require(!entries.contains(key), s"chunk $key already stored")
-    val meta = filled.meta
+    val c = filled.chunk
+    if (filled.shared) require(c.keys > 0, s"chunk $key shares a chunk that was freed")
+    else {
+      c.band = band
+      memBytes += c.meta.bytes
+      peakMem = math.max(peakMem, memBytes)
+      c.hash.foreach(h => byPlan(h) = c :: byPlan.getOrElse(h, Nil))
+    }
+    c.keys += 1
     tick += 1
-    entries(key) = new Entry(key, filled.df, meta, Tier.Memory, band, tick)
-    memBytes += meta.bytes
-    peakMem = math.max(peakMem, memBytes)
+    c.lastUse = tick
+    entries(key) = c
     putsN += 1
-    evictIfNeeded(exclude = key)
-    meta
+    evictIfNeeded(exclude = c)
+    c.meta
   }
+
+  /** Drop a filled chunk that was not registered. A shared chunk is
+    * another key's, and stays.
+    */
+  def discard(filled: Filled): Unit = if (!filled.shared) filled.chunk.leaf.release(blocking = false)
 
   /** Read chunk `key` from the requesting band; counts a remote read if
     * the chunk lives on a different band.
@@ -122,12 +144,12 @@ final class StorageService(memoryBudget: Long) {
     * recently used chunk, as `get` does.
     */
   def recordGet(key: String, requesterBand: Int): Unit = synchronized {
-    val e = entry(key)
-    tick += 1; e.lastUse = tick; getsN += 1
-    if (e.band == requesterBand) localN += 1 else remoteN += 1
+    val c = entry(key)
+    tick += 1; c.lastUse = tick; getsN += 1
+    if (c.band == requesterBand) localN += 1 else remoteN += 1
   }
 
-  private def entry(key: String): Entry =
+  private def entry(key: String): Chunk =
     entries.getOrElse(key, throw new NoSuchElementException(s"chunk $key not stored"))
 
   def contains(key: String): Boolean = synchronized(entries.contains(key))
@@ -135,29 +157,35 @@ final class StorageService(memoryBudget: Long) {
   def bandOf(key: String): Option[Int] = synchronized(entries.get(key).map(_.band))
   def tierOf(key: String): Option[Tier] = synchronized(entries.get(key).map(_.tier))
 
-  /** Drop a chunk from all tiers. */
+  /** Drop key `key`, and its chunk from all tiers if no other key shares
+    * it.
+    */
   def free(key: String): Unit = synchronized {
-    entries.remove(key).foreach { e =>
-      release(e, blocking = false)
-      if (e.tier == Tier.Memory) memBytes -= e.meta.bytes
+    entries.remove(key).foreach { c =>
+      c.keys -= 1
+      if (c.keys == 0) {
+        release(c, blocking = false)
+        if (c.tier == Tier.Memory) memBytes -= c.meta.bytes
+        c.hash.foreach { h =>
+          val rest = byPlan(h).filterNot(_ eq c)
+          if (rest.isEmpty) byPlan -= h else byPlan(h) = rest
+        }
+      }
     }
   }
 
   /** Spill LRU memory-tier chunks until under budget. A spill is one
     * Spark job: it reads the chunk's cache and writes its one partition
     * as a local disk block. The checkpoint's plan is a lineage-free scan
-    * of that block, which `get` returns as is.
+    * of that block that keeps the leaf's `SinglePartition`, and `get`
+    * returns it as is.
     */
-  private def evictIfNeeded(exclude: String): Unit = {
-    while (memBytes > memoryBudget && entries.values.exists(e => e.tier == Tier.Memory && e.key != exclude)) {
-      val victim = entries.values.filter(e => e.tier == Tier.Memory && e.key != exclude).minBy(_.lastUse)
-      // The scan reports the partitioning of the chunk's top-level plan,
-      // which is unknown when Spark planned it adaptively (any chunk built
-      // over an exchange or a cached join). Coalescing one partition runs
-      // in the reading task and keeps the chunk `SinglePartition`.
-      val onDisk = victim.df.localCheckpoint(eager = true, SparkLevel.DISK_ONLY).coalesce(1)
-      victim.df.unpersist(false)
-      victim.df = onDisk
+  private def evictIfNeeded(exclude: Chunk): Unit = {
+    def inMemory = entries.valuesIterator.filter(c => c.tier == Tier.Memory && (c ne exclude))
+    while (memBytes > memoryBudget && inMemory.hasNext) {
+      val victim = inMemory.minBy(_.lastUse)
+      victim.df = victim.df.localCheckpoint(eager = true, SparkLevel.DISK_ONLY)
+      victim.leaf.release(blocking = false)
       victim.tier = Tier.Disk
       memBytes -= victim.meta.bytes
       spillsN += 1
@@ -173,33 +201,46 @@ final class StorageService(memoryBudget: Long) {
     * engine's measurements don't race a background eviction storm.
     */
   def reset(): Unit = synchronized {
-    entries.values.foreach(release(_, blocking = true))
+    entries.valuesIterator.distinct.foreach(release(_, blocking = true))
     entries.clear()
+    byPlan.clear()
     memBytes = 0
   }
 
   /** Drop a chunk's blocks: its cache, or its checkpoint's RDD. */
-  private def release(e: Entry, blocking: Boolean): Unit = e.tier match {
-    case Tier.Memory => e.df.unpersist(blocking)
-    case Tier.Disk   => e.df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.unpersist(blocking) }
+  private def release(c: Chunk, blocking: Boolean): Unit = c.tier match {
+    case Tier.Memory => c.leaf.release(blocking)
+    case Tier.Disk   => c.df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd.unpersist(blocking) }
   }
 }
 
 object StorageService {
 
-  /** A chunk whose cache `putFill` filled: its persisted Dataset and the
-    * metadata observed while filling it.
+  /** A stored chunk, under one key or several. `plan` and `schema` are
+    * those of the put that filled it, which later puts are matched
+    * against; `df` is its leaf in the tier it is in.
     */
-  final case class Filled(df: DataFrame, meta: ChunkMeta)
+  private[storage] final class Chunk(
+      val plan: LogicalPlan,
+      val hash: Option[Int],
+      val schema: StructType,
+      val leaf: CachedLeaf,
+      val meta: ChunkMeta,
+  ) {
+    var df: DataFrame = leaf.df
+    var tier: Tier = Tier.Memory
+    var band = 0
+    var lastUse = 0L
+    var keys = 0
+  }
 
-  /** Rows of one partition. Spark's closure cleaner parses the class file
-    * that declares a job's closure on every job it submits; this small
-    * object is cheap to parse, where `RDD.count` makes it parse `RDD` and
-    * `SparkContext`, both about 200 KB.
+  /** The result of `putFill`, not yet registered: a chunk whose cache was
+    * just filled, or a registered chunk with the same result.
     */
-  val countRows: (TaskContext, Iterator[Any]) => Long = (_, rows) => {
-    var n = 0L
-    while (rows.hasNext) { rows.next(); n += 1 }
-    n
+  final class Filled private[storage] (private[storage] val chunk: Chunk, private[storage] val shared: Boolean) {
+    /** The chunk's leaf, which the put's consumers read. */
+    def df: DataFrame = chunk.df
+    /** The metadata observed while filling the chunk. */
+    def meta: ChunkMeta = chunk.meta
   }
 }

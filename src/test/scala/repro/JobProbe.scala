@@ -3,11 +3,12 @@ package repro
 import scala.collection.mutable
 
 import org.apache.spark.{SparkContext, SparkTestAccess}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageSubmitted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
 
-/** The Spark jobs and stages that one block of code ran. */
+/** The Spark jobs, stages and tasks that one block of code ran. */
 final class JobProbe private () extends SparkListener {
   private var jobsN = 0
+  private var tasksN = 0
   private var running = 0
   private var maxRunning = 0
   private val shuffleStages = mutable.ArrayBuffer[String]()
@@ -28,7 +29,14 @@ final class JobProbe private () extends SparkListener {
     if (SparkTestAccess.writesShuffle(e.stageInfo)) shuffleStages += e.stageInfo.name
   }
 
+  override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+    tasksN += 1
+  }
+
   def jobs: Int = synchronized(jobsN)
+
+  /** Tasks that ran, in every job. */
+  def tasks: Int = synchronized(tasksN)
 
   /** Most jobs that were running at the same time. */
   def maxConcurrentJobs: Int = synchronized(maxRunning)

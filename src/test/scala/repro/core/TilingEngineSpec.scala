@@ -351,6 +351,7 @@ class TilingEngineSpec extends SparkSpec {
       val f = XFrame.source(e, "t", src)
       val (chunks, probe) = JobProbe(spark.sparkContext)(e.tile(f.tileable))
       assert(probe.jobs == 1, s"indexing ran ${probe.jobs} Spark jobs")
+      assert(probe.tasks == 7, s"indexing ran ${probe.tasks} tasks, not one per source partition")
       assert(chunks.size == 5)
       assert(f.toDF().collect().map(_.toSeq).sameElements(src.collect().map(_.toSeq)))
       chunks.foreach(c => assert(e.storage.read(e.keyOf(c)).columns.sameElements(src.columns)))
@@ -366,6 +367,26 @@ class TilingEngineSpec extends SparkSpec {
       val (_, probe) = JobProbe(spark.sparkContext)(e.tile(XFrame.source(e, "t2", a).tileable))
       assert(probe.jobs == 0, s"re-sourcing an indexed DataFrame ran ${probe.jobs} Spark jobs")
     }
+  }
+
+  test("a caller-cached source is indexed over the caller's cache, which reset leaves cached") {
+    val sc = spark.sparkContext
+    def blockBytes = sc.getRDDStorageInfo.map(r => r.memSize + r.diskSize).sum
+    val src = sevenParts.persist()
+    try {
+      src.count()
+      val before = blockBytes
+      val e = new Engine(spark, cfg())
+      val f = XFrame.source(e, "t", src)
+      val (_, probe) = JobProbe(sc)(e.tile(f.tileable))
+      assert(probe.jobs == 1 && probe.tasks == 7)
+      assert(blockBytes == before, "indexing a cached source added block-manager bytes")
+      assert(f.iloc(4321).toDF().collect().map(_.toSeq).sameElements(Array(src.collect()(4321).toSeq)))
+      e.reset()
+      assert(src.storageLevel.useMemory, "reset uncached the caller's source")
+      assert(sc.getRDDStorageInfo.exists(r => r.numCachedPartitions == 7 && r.memSize > 0),
+        "reset dropped the blocks of the caller's source")
+    } finally src.unpersist(true)
   }
 
   test("a source whose partitions have cached locations only in part keeps its row order") {
@@ -500,11 +521,11 @@ class TilingEngineSpec extends SparkSpec {
   }
 
   test("a chunk is one Spark partition: no stage of a run writes shuffle output") {
-    // 4000 × 16 B = 62.5 KiB per fact table: 2 chunks at a 32 KiB limit,
+    // 8000 × 16 B = 125 KiB per fact table: 4 chunks at a 32 KiB limit,
     // while the session would plan 64 partitions for any exchange.
     val limit = 32L << 10
-    val facts = SynthData.uniformKeys(spark, 4000, 2000, seed = 11)
-    val other = SynthData.uniformKeys(spark, 4000, 2000, seed = 12).withColumnRenamed("v", "w")
+    val facts = SynthData.uniformKeys(spark, 8000, 2000, seed = 11)
+    val other = SynthData.uniformKeys(spark, 8000, 2000, seed = 12).withColumnRenamed("v", "w")
     val dim = spark.range(0, 40).select(col("id") as "g", (col("id") * 10) as "d")
     def frames(e: Engine): Seq[XFrame] = {
       val joined = XFrame.source(e, "facts", facts)
@@ -552,6 +573,32 @@ class TilingEngineSpec extends SparkSpec {
         else assert(st.shuffleReduces > 0 && st.shuffleMerges > 0, s"$arm: $st")
       } finally e.reset()
     }
+  }
+
+  test("a plan over stored chunks does not grow with the depth of the chunk DAG above it") {
+    // Each level stores its chunks, then reads them through two paths that
+    // meet again: a tree of the plans that built them would double per level.
+    val src = keys(2000)
+    def diamond(e: Engine, depth: Int): XFrame =
+      (1 to depth).foldLeft(XFrame.source(e, "t", src)) { (f, _) =>
+        f.filter(col("v") < 0.9).concat(f.filter(col("v") > 0.1))
+          .groupby("k").agg(SumAgg("v", "v"))
+      }
+    def want(depth: Int): DataFrame =
+      (1 to depth).foldLeft(src) { (df, _) =>
+        df.filter(col("v") < 0.9).unionByName(df.filter(col("v") > 0.1)).groupBy("k").agg(sum("v") as "v")
+      }
+    val sizes = Seq(2, 4, 6).map { d =>
+      withEngine(cfg(limit = 4 << 10)) { e =>
+        val f = diamond(e, d)
+        val got = f.filter(col("v") > 0).toDF()
+        assertSameSet(got, want(d).filter(col("v") > 0))
+        assert(e.stats.chunksMaterialized > 2 * d)
+        d -> got.queryExecution.toString.length
+      }
+    }
+    val (shallow, deep) = (sizes.head._2, sizes.last._2)
+    assert(deep < shallow + shallow / 4, s"plan description length by depth: $sizes")
   }
 
   /** Three sources, each a one-chunk table with a slow narrow step, then

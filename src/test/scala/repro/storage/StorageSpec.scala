@@ -3,7 +3,6 @@ package repro.storage
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
 import org.apache.spark.sql.execution.FileSourceScanExec
-import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions._
 
 import repro.{JobProbe, SparkSpec}
@@ -29,24 +28,89 @@ class StorageSpec extends SparkSpec {
 
   test("put of a multi-partition input stores one partition in one Spark job") {
     val s = new StorageService(1L << 30)
-    val input = spark.range(0, 1000, 1, numPartitions = 8).select(col("id"), rand(3).as("v"))
+    // Counts the rows the input's plan computes.
+    val computed = spark.sparkContext.longAccumulator
+    val seen = udf((id: Long) => { computed.add(1); id }).asNondeterministic()
+    val input = spark.range(0, 1000, 1, numPartitions = 8).select(seen(col("id")) as "id", rand(3).as("v"))
     assert(input.rdd.getNumPartitions == 8)
+    computed.reset()
     val (meta, probe) = JobProbe(spark.sparkContext)(s.put("a", input, 0))
     assert(meta.rows == 1000)
     assert(probe.jobs == 1, s"put ran ${probe.jobs} Spark jobs")
+    assert(computed.value == 1000)
     val got = s.get("a", 0)
     assert(onePartition(got))
-    val scans = got.queryExecution.executedPlan.collect { case m: InMemoryTableScanExec => m }
-    assert(scans.size == 1, "get must read the cached chunk")
-    assert(scans.head.relation.cacheBuilder.cachedColumnBuffers.getNumPartitions == 1,
+    val cache = spark.sparkContext.getRDDStorageInfo.filter(_.name == "In-memory table a")
+    assert(cache.length == 1, "the chunk's cache is named after its key")
+    assert(cache.head.numPartitions == 1 && cache.head.numCachedPartitions == 1,
       "the cache must hold one partition")
-    assert(got.count() == 1000)
+    assert(got.collect().map(_.getLong(0)).sorted.sameElements(0L until 1000L))
+    assert(computed.value == 1000, "reading the chunk computed its input again")
+    s.reset()
+  }
+
+  test("a put of a one-partition groupBy or offset/limit chunk runs one Spark job") {
+    val s = new StorageService(1L << 30)
+    s.put("in", spark.range(0, 1000, 1, 1).select(col("id") % 10 as "k", col("id") as "v"), 0)
+    val in = s.read("in")
+    val chunks = Seq(
+      "grouped" -> in.groupBy("k").agg(sum("v") as "s"),
+      "cut" -> in.offset(100).limit(50))
+    for ((key, df) <- chunks) {
+      val (meta, probe) = JobProbe(spark.sparkContext)(s.put(key, df, 0))
+      assert(probe.jobs == 1, s"put of $key ran ${probe.jobs} Spark jobs")
+      assert(meta.rows == df.count())
+      assert(onePartition(s.read(key)))
+    }
+    assert(s.read("cut").collect().map(_.getLong(1)).sameElements(100L until 150L))
+    s.reset()
+  }
+
+  test("a put with a stored chunk's plan and schema shares it: no job, no bytes") {
+    def chunk(name: String) = spark.range(0, 100, 1, 1).select(col("id"), (col("id") * 2) as name)
+    val s = new StorageService(1L << 30)
+    s.put("a", chunk("v"), 0)
+    val bytes = s.stats.memBytes
+    val (_, probe) = JobProbe(spark.sparkContext)(s.put("b", chunk("v"), 1))
+    assert(probe.jobs == 0, s"a shared put ran ${probe.jobs} Spark jobs")
+    assert(s.stats.memBytes == bytes && s.stats.puts == 2)
+    assert(s.meta("b") == s.meta("a") && s.bandOf("b").contains(0))
+    s.free("a")
+    assert(!s.contains("a") && s.stats.memBytes == bytes)
+    assert(s.get("b", 0).collect().map(r => (r.getLong(0), r.getLong(1))).sameElements((0L until 100L).map(i => (i, 2 * i))))
+    s.free("b")
+    assert(s.stats.memBytes == 0)
+    assert(!spark.sparkContext.getRDDStorageInfo.exists(_.name == "In-memory table a"))
+    s.reset()
+  }
+
+  test("a renamed column or a nondeterministic plan is not shared") {
+    val s = new StorageService(1L << 30)
+    val base = spark.range(0, 100, 1, 1)
+    s.put("a", base.select(col("id"), (col("id") * 2) as "v"), 0)
+    val (_, renamed) = JobProbe(spark.sparkContext)(s.put("b", base.select(col("id"), (col("id") * 2) as "w"), 0))
+    assert(renamed.jobs == 1 && s.stats.memBytes == 2 * 100 * 16)
+    assert(s.read("b").columns.sameElements(Array("id", "w")))
+    s.put("c", df(100, seed = 5), 0)
+    val (_, random) = JobProbe(spark.sparkContext)(s.put("d", df(100, seed = 5), 0))
+    assert(random.jobs == 1 && s.stats.memBytes == 4 * 100 * 16)
+    s.reset()
+  }
+
+  test("discarding a shared fill keeps the stored chunk it shares") {
+    val s = new StorageService(1L << 30)
+    val chunk = spark.range(0, 100, 1, 1).select(col("id"))
+    s.put("a", chunk, 0)
+    val filled = s.putFill("b", chunk)
+    s.discard(filled)
+    assert(spark.sparkContext.getRDDStorageInfo.exists(_.name == "In-memory table a"))
+    assert(s.get("a", 0).count() == 100)
     s.reset()
   }
 
   test("putFill fills the cache in one job and registers nothing until putRegister") {
     val s = new StorageService(1L << 30)
-    val (filled, probe) = JobProbe(spark.sparkContext)(s.putFill(df(40)))
+    val (filled, probe) = JobProbe(spark.sparkContext)(s.putFill("a", df(40)))
     assert(probe.jobs == 1 && filled.meta.rows == 40)
     assert(!s.contains("a") && s.stats.puts == 0)
     val (meta, registering) = JobProbe(spark.sparkContext)(s.putRegister("a", filled, band = 1))
