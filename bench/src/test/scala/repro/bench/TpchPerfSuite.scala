@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.baseline.Engines
+import repro.core.Engine
 import repro.tpch.{TpchCtx, TpchData, TpchQueries}
 
 /** Fig 8b as a table: TPC-H ad-hoc queries, dynamic engine vs the
@@ -13,29 +14,31 @@ class TpchPerfSuite extends BenchBase {
   private val subset = Seq(1, 3, 5, 6, 10, 12, 14, 18)
 
   test("Fig 8b (table): TPC-H query times across engines") {
+    // The inputs stay cached across queries (like a warmed cluster). Each
+    // run is one query on a fresh engine: an engine that ran the query
+    // before would share its stored chunks and run no job.
     val tables = TpchData.tables(spark, sf)
-    tables.values.foreach(_.count()) // warm generators
+    tables.values.foreach(_.cache().count())
     tables.foreach { case (n, df) => df.createOrReplaceTempView(n + "_t") }
-
-    // Engines persist sources across queries (like a warmed cluster).
-    val ex = Engines.xorbits(spark, limit)
-    val es = Engines.static(spark, limit)
-    val ctxX = TpchCtx(ex, tables)
-    val ctxS = TpchCtx(es, tables)
+    def run(id: Int, mk: () => Engine): () => Any = () => {
+      val e = mk()
+      try TpchQueries.byId(id).run(TpchCtx(e, tables)).toDF().count() finally e.reset()
+    }
 
     try {
       val rows = subset.map { id =>
-        val q = TpchQueries.byId(id)
-        val tx = time() { q.run(ctxX).toDF().count() }
-        val ts = time() { q.run(ctxS).toDF().count() }
+        val (tx, ts) = compareArms(s"Fig 8b, Q$id")(
+          "xorbits" -> run(id, () => Engines.xorbits(spark, limit)),
+          "static" -> run(id, () => Engines.static(spark, limit)))
         // Plain Catalyst (the PySpark stand-in): the reference SQL is
         // ANSI enough for Spark on most queries; dialect misses → n/a.
         val tSpark =
-          try { val t0 = System.nanoTime(); spark.sql(q.sql).count(); (System.nanoTime() - t0) / 1e9 }
+          try time(reps = 3)(spark.sql(TpchQueries.byId(id).sql).count())
           catch { case _: Throwable => -1.0 }
-        Seq(s"Q$id", fmt(tx), fmt(ts), if (tSpark > 0) fmt(tSpark) else "n/a", fmt(ts / tx))
+        Seq(s"Q$id", fmt(median(tx)), fmt(median(ts)), if (tSpark > 0) fmt(tSpark) else "n/a",
+          fmt(median(ts) / median(tx)))
       }
-      printTable("Fig 8b (table) — TPC-H (ours, seconds)",
+      printTable("Fig 8b (table) — TPC-H (ours, median seconds)",
         Seq("query", "xorbits", "static", "spark-sql", "static/xorbits"),
         rows)
       println("paper: Xorbits fastest overall on TPC-H SF100/SF1000; baselines OOM or lag")
@@ -43,6 +46,6 @@ class TpchPerfSuite extends BenchBase {
       val geo = math.exp(speedups.map(math.log).sum / speedups.size)
       println(f"geometric-mean speedup vs static baseline: $geo%.2fx (paper overall: 2.66x vs fastest baseline)")
       assert(geo > 1.0, f"dynamic engine should beat static overall (got $geo%.2f)")
-    } finally { ex.reset(); es.reset() }
+    } finally tables.values.foreach(_.unpersist())
   }
 }

@@ -32,7 +32,6 @@ sealed trait NarrowStep {
         case l: Long   => df.na.fill(l, targets)
         case i: Int    => df.na.fill(i.toLong, targets)
         case s: String => df.na.fill(s, targets)
-        case other => throw new IllegalArgumentException(s"fillna value: $other")
       }
     case FnStep(_, f) => f(df)
   }
@@ -53,8 +52,13 @@ object NarrowStep {
   final case class DropStep(cols: Seq[String]) extends NarrowStep
   /** Rename columns (pandas `rename(columns=…)`). */
   final case class RenameStep(mapping: Map[String, String]) extends NarrowStep
-  /** Fill nulls in the given columns (pandas `fillna`). */
-  final case class FillNaStep(value: Any, cols: Seq[String]) extends NarrowStep
+  /** Fill nulls in the given columns (pandas `fillna`) with a Double,
+    * Long, Int or String value.
+    */
+  final case class FillNaStep(value: Any, cols: Seq[String]) extends NarrowStep {
+    require(value match { case _: Double | _: Long | _: Int | _: String => true; case _ => false },
+      s"fillna value $value is not a Double, Long, Int or String")
+  }
   /** Escape hatch: arbitrary chunk-local function. Graph-fusable; Catalyst
     * fuses it with its neighbours only as far as the plan `f` builds
     * allows (the paper's non-numexpr operators).

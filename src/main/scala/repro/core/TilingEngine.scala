@@ -9,7 +9,6 @@ import scala.util.{Failure, Success, Try}
 import org.apache.spark.sql.{classic, CachedLeaf, Column, DataFrame, SparkSession}
 import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.{StorageLevel => SparkLevel}
 
 import repro.fusion.{Subtask, SubtaskGraph}
 import repro.sched.Scheduler
@@ -53,7 +52,7 @@ final class UnorderedLineageException(message: String) extends IllegalArgumentEx
   * appear. Joins take the same care (see `tileMerge`).
   */
 final class Engine(val spark: SparkSession, val config: EngineConfig) {
-  import Engine.{concat, rowRange, SubtaskRun}
+  import Engine.{bucket, concat, rowRange, SubtaskRun}
   import TileResult._
   import TileableOp._
 
@@ -145,40 +144,23 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   }
 
   /** Reducers for `bytes` of measured data: one per chunk-size limit, at
-    * most `MaxReducers`.
+    * least 2 and at most `MaxReducers`.
     */
   private def reducers(bytes: Long): Int =
-    math.min(Engine.MaxReducers.toLong, bytes / math.max(1L, config.chunkSizeLimit) + 1).toInt
+    math.max(2L, math.min(Engine.MaxReducers.toLong, bytes / math.max(1L, config.chunkSizeLimit) + 1)).toInt
 
   /** Reducers of the static plan: `staticReducers`, but no more than the
-    * input chunks.
+    * input chunks, and at least 2.
     */
-  private def staticReducers(chunks: Int): Int = math.min(config.staticReducers, chunks)
-
-  /** The M×R split of a shuffle: bucket `b` of every chunk of `side`, for
-    * each of `r` buckets (at least 2), by hash of `keys` (all user columns
-    * if empty). Tasks are created chunk by chunk; `label[m,b]` is bucket b
-    * of chunk m.
-    */
-  private def hashBuckets(label: String, side: Vector[ChunkTask], keys: Seq[String], r: Int): Vector[Vector[ChunkTask]] = {
-    val n = math.max(2, r)
-    side.zipWithIndex.map { case (c, m) =>
-      (0 until n).toVector.map { b =>
-        task(s"$label[$m,$b]", Vector(c), dfs => {
-          val df = dfs.head
-          val on = if (keys.isEmpty) df.columns.toSeq else keys
-          df.filter(pmod(hash(on.map(col): _*), lit(n)) === b)
-        })
-      }
-    }.transpose
-  }
+  private def staticReducers(chunks: Int): Int = math.max(2, math.min(config.staticReducers, chunks))
 
   /** Map-Combine-Reduce (§III-C): `map` every chunk, then reduce the map
     * outputs by one of two plans (§IV-B/C auto reduce selection):
     *  - tree: `merge` up to `CombineFanIn` outputs per combine node, level
     *    by level, into one chunk, then `finish` it;
-    *  - shuffle: split every output into R hash buckets on `keys`, then
-    *    `merge` and `finish` each bucket.
+    *  - shuffle: R reducers, reducer b reading bucket b of every map
+    *    output (`bucket` on `keys`), then `merge` and `finish` it. Each
+    *    map output is stored once, and every reducer filters it.
     * `keys = None` (a global aggregate, with nothing to hash on) always
     * takes the tree; `Some(Nil)` hashes on all user columns. The dynamic
     * arm chooses by the measured size of the map outputs; the static arm
@@ -209,8 +191,8 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     def shuffle(on: Seq[String], r: Int): Vector[ChunkTask] = {
       stats.shuffleReduces += 1
-      hashBuckets(s"$name::bucket", maps, on, r).zipWithIndex.map { case (parts, b) =>
-        task(s"$name::agg[$b]", parts, dfs => finish(merge(dfs)))
+      (0 until r).toVector.map { b =>
+        task(s"$name::agg[$b]", maps, dfs => finish(merge(dfs.map(bucket(_, on, r, b)))))
       }
     }
 
@@ -316,11 +298,12 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     def shuffleMerge(r: Int): Vector[ChunkTask] = {
       stats.shuffleMerges += 1
-      val lb = hashBuckets("Merge::bucketL", left, on, r)
-      val rb = hashBuckets("Merge::bucketR", right, on, r)
       val nl = left.size
-      lb.zip(rb).zipWithIndex.map { case ((l, rr), b) =>
-        task(s"Merge::join[$b]", l ++ rr, dfs => joinCompute(concat(dfs.take(nl)), concat(dfs.drop(nl))))
+      (0 until r).toVector.map { b =>
+        task(s"Merge::join[$b]", left ++ right, dfs => {
+          val parts = dfs.map(bucket(_, on, r, b))
+          joinCompute(concat(parts.take(nl)), concat(parts.drop(nl)))
+        })
       }
     }
 
@@ -422,9 +405,12 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       },
     )
 
-    // The chunks to store: the targets, and every chunk that another
-    // subtask of this call reads.
-    val exposed = targets.map(_.id).toSet ++ subtasks.flatMap(_.externalInputs.map(_.id))
+    // The chunks to store: the targets, every chunk that another subtask
+    // of this call reads, and every chunk that two or more task inputs
+    // read (a map output that each reducer of a shuffle filters), so that
+    // it is computed once.
+    val readTwice = need.flatMap(_.inputs.map(_.id)).groupBy(identity).collect { case (id, rs) if rs.size > 1 => id }
+    val exposed = targets.map(_.id).toSet ++ subtasks.flatMap(_.externalInputs.map(_.id)) ++ readTwice
     SubtaskGraph.waves(subtasks).foreach { wave =>
       runWave(wave, st => runSubtask(st, bands(st.id), exposed)).foreach(commit)
     }
@@ -464,10 +450,12 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   }
 
   /** Run one subtask's chunk tasks and fill the cache of each exposed
-    * chunk, which its consumers inside the subtask then read. Touches no
-    * engine state: it reads stored chunks without counting the reads, and
-    * registers nothing; `commit` does both. On failure, the chunks it
-    * filled are dropped.
+    * chunk, which its consumers inside the subtask then read. Every other
+    * task's plan is part of its one consumer's plan (operator-level
+    * fusion: Catalyst collapses and compiles it), so each task runs once.
+    * Touches no engine state: it reads stored chunks without counting the
+    * reads, and registers nothing; `commit` does both. On failure, the
+    * chunks it filled are dropped.
     */
   private def runSubtask(st: Subtask, band: Int, exposed: Set[Long]): SubtaskRun = {
     val t0 = System.nanoTime()
@@ -476,15 +464,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     def dfOf(t: ChunkTask): DataFrame = local.getOrElse(t.id, storage.read(keyOf(t)))
 
-    // A fused subtask must compute each member ONCE (the paper's subtask
-    // semantics): outputs consumed by several internal tasks — e.g. a map
-    // feeding its R bucket splits — are pinned with a one-shot Spark
-    // persist, since chunk fragments are lazy plans that would otherwise
-    // recompute.
-    val internalUses = mutable.Map[Long, Int]().withDefaultValue(0)
-    st.tasks.foreach(_.inputs.foreach(i => if (st.taskIds.contains(i.id)) internalUses(i.id) += 1))
-
-    val temps = mutable.ArrayBuffer[DataFrame]()
     try {
       st.tasks.foreach { t =>
         val out = t.compute(t.inputs.map(dfOf))
@@ -495,19 +474,11 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
           val filled = storage.putFill(keyOf(t), out)
           fills(t.id) = filled
           local(t.id) = filled.df
-        } else {
-          // Operator-level fusion: the step is part of its consumers'
-          // plan, which Catalyst collapses and compiles.
-          local(t.id) = out
-          if (internalUses(t.id) > 1) {
-            out.persist(SparkLevel.MEMORY_AND_DISK)
-            temps += out
-          }
-        }
+        } else local(t.id) = out
       }
     } catch {
       case e: Throwable => fills.values.foreach(storage.discard); throw e
-    } finally temps.foreach(_.unpersist(false))
+    }
     SubtaskRun(st, band, fills.toMap, (System.nanoTime() - t0) / 1e6)
   }
 
@@ -624,6 +595,15 @@ object Engine {
     * partition.
     */
   def concat(dfs: Seq[DataFrame]): DataFrame = dfs.reduce(_ unionByName _).coalesce(1)
+
+  /** Bucket `b` of `n` of a chunk: its rows whose `keys` hash to `b`, by
+    * all of its columns when `keys` is empty. A shuffle's reducer b reads
+    * bucket b of each map output.
+    */
+  private def bucket(df: DataFrame, keys: Seq[String], n: Int, b: Int): DataFrame = {
+    val on = if (keys.isEmpty) df.columns.toSeq else keys
+    df.filter(pmod(hash(on.map(col): _*), lit(n)) === b)
+  }
 
   /** Rows [lo, hi) of a one-partition chunk, in its row order. */
   private def rowRange(df: DataFrame, lo: Long, hi: Long): DataFrame =

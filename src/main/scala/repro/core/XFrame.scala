@@ -38,7 +38,9 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
 
   def rename(mapping: (String, String)*): XFrame = narrow("Rename", RenameStep(mapping.toMap))
 
-  /** pandas fillna over the given columns (all columns if empty). */
+  /** pandas fillna over the given columns (all columns if empty), with a
+    * Double, Long, Int or String value.
+    */
   def fillna(value: Any, cols: String*): XFrame = narrow("FillNa", FillNaStep(value, cols))
 
   /** Escape hatch: arbitrary chunk-local transformation. Like the other
@@ -129,8 +131,14 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
 
 /** groupby handle: `df.groupby("k").agg(...)`. */
 final class XGroupBy private[repro] (frame: XFrame, keys: Seq[String]) {
+  /** One output column per spec, after the keys: each spec's `out` must
+    * be new.
+    */
   def agg(specs: AggSpec*): XFrame = {
     require(specs.nonEmpty, "agg requires at least one aggregate")
+    val outs = specs.map(_.out)
+    require(outs.distinct.size == outs.size, s"agg names an output twice: ${outs.diff(outs.distinct).mkString(", ")}")
+    require(!outs.exists(keys.contains), s"agg output is a groupby key: ${outs.filter(keys.contains).mkString(", ")}")
     new XFrame(frame.engine, new Tileable(TileableOp.GroupAggOp(keys, specs), Vector(frame.tileable)))
   }
 }

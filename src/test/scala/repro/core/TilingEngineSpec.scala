@@ -245,6 +245,97 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
+  test("a static shuffle reduce stores each map output once: M + R chunks") {
+    val src = keys(20000) // 20,000 × 16 B: M = 4 chunks at 100 KiB
+    val e = Engines.static(spark, 100L << 10, reducers = 3)
+    try {
+      val f = XFrame.source(e, "t", src)
+      assert(f.numChunks() == 4)
+      val g = f.groupby("k").agg(SumAgg("v", "sv"))
+      assert(g.numChunks() == 3)
+      val got = g.toDF()
+      assert(e.stats.shuffleReduces == 1 && e.stats.chunksMaterialized == 4 + 3, e.stats.toString)
+      assertLikeSpark(got, src.groupBy("k").agg(sum("v") as "sv"))
+    } finally e.reset()
+  }
+
+  test("a static shuffle merge stores each input chunk once: M_l + M_r + R chunks") {
+    val a = SynthData.uniformKeys(spark, 20000, 5000, seed = 13) // 4 chunks at 100 KiB
+    val b = SynthData.uniformKeys(spark, 12000, 5000, seed = 14).withColumnRenamed("v", "w") // 2 chunks
+    val e = Engines.static(spark, 100L << 10, reducers = 3)
+    try {
+      val (l, r) = (XFrame.source(e, "a", a), XFrame.source(e, "b", b))
+      assert((l.numChunks(), r.numChunks()) == ((4, 2)))
+      val m = l.merge(r, Seq("k"))
+      assert(m.numChunks() == 3)
+      val got = m.toDF()
+      assert(e.stats.shuffleMerges == 1 && e.stats.chunksMaterialized == 4 + 2 + 3, e.stats.toString)
+      assertLikeSpark(got, a.join(b, Seq("k")))
+    } finally e.reset()
+  }
+
+  test("shuffle reduces and merges match Spark on the static and no-graph-fusion arms") {
+    // At 32 KiB every input is several chunks and over the broadcast
+    // threshold, so both arms shuffle every merge and reduce.
+    val limit = 32L << 10
+    val a = SynthData.uniformKeys(spark, 20000, 5000, seed = 13)
+    val b = SynthData.uniformKeys(spark, 12000, 5000, seed = 14).withColumn("w", col("v") * 2)
+    val x = SynthData.uniformKeys(spark, 4000, 2000, seed = 15)
+    val flags = a.select(col("k"), (col("v") < 0.5) as "f")
+    def suffixed(l: DataFrame, r: DataFrame, how: String) =
+      l.withColumnRenamed("v", "v_x").join(r.withColumnRenamed("v", "v_y"), Seq("k"), how)
+    // Each program builds its result from the frames it returns with it.
+    val programs: Seq[(String, Engine => (XFrame, Seq[XFrame]), DataFrame)] =
+      Seq("inner", "left", "leftsemi", "leftanti").map { how =>
+        val want = if (how == "leftsemi" || how == "leftanti") a.join(b, Seq("k"), how) else suffixed(a, b, how)
+        (s"merge $how", (e: Engine) => {
+          val (l, r) = (XFrame.source(e, "a", a), XFrame.source(e, "b", b))
+          (l.merge(r, Seq("k"), how), Seq(l, r))
+        }, want)
+      } ++ Seq(
+        ("dropDuplicates()", (e: Engine) => {
+          val f = XFrame.source(e, "flags", flags)
+          (f.dropDuplicates(), Seq(f))
+        }, flags.distinct()),
+        ("self-merge", (e: Engine) => {
+          val f = XFrame.source(e, "x", x)
+          (f.merge(f, Seq("k")), Seq(f))
+        }, suffixed(x, x, "inner")))
+    val arms = Seq[(String, () => Engine)](
+      "static" -> (() => Engines.static(spark, limit)), "noGraphFusion" -> (() => Engines.noGraphFusion(spark, limit)))
+    for ((arm, mk) <- arms; (name, program, want) <- programs) {
+      val e = mk()
+      try withClue(s"$arm, $name: ") {
+        val (f, ins) = program(e)
+        assertLikeSpark(f.toDF(), want)
+        val st = e.stats
+        assert(st.shuffleReduces + st.shuffleMerges == 1 && st.broadcastMerges == 0, st.toString)
+        // The static arm fuses each source chunk with its map, if any, and
+        // stores the result once, however many reducers read it.
+        if (arm == "static") assert(st.chunksMaterialized == ins.map(_.numChunks()).sum + f.numChunks(), st.toString)
+      } finally e.reset()
+    }
+  }
+
+  test("a chunk that two tasks of one subtask read is stored, and computed once") {
+    withEngine(cfg()) { e =>
+      val calls = spark.sparkContext.longAccumulator("w calls")
+      val counted = udf((v: Double) => { calls.add(1); v * 2 })
+      val src = keys(1000)
+      val w = XFrame.source(e, "t", src).withColumn("w", counted(col("v")))
+      assert(w.numChunks() == 1)
+      // One subtask: source, w, both filters and both groupby maps; the
+      // filters read w's chunk.
+      val got = w.filter(col("w") < 1.0).concat(w.filter(col("w") > 1.5))
+        .groupby("k").agg(SumAgg("w", "sw")).toDF()
+      assert(calls.value == 1000, s"${calls.value} calls of w's UDF for 1000 rows")
+      assert(e.isMaterialized(e.tile(w.tileable).head), "w's chunk must be in the storage service")
+      val want = src.withColumn("w", col("v") * 2)
+      assertLikeSpark(got,
+        want.filter(col("w") < 1.0).unionByName(want.filter(col("w") > 1.5)).groupBy("k").agg(sum("w") as "sw"))
+    }
+  }
+
   test("iloc on a filtered frame returns the exact positional row (Fig 3c)") {
     val src = keys(20000)
     withEngine(cfg()) { e =>

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{JobProbe, Oracle, SparkSpec, SynthData}
 import repro.core.AggSpec._
 
 /** pandas-style API surface, oracle-checked against DuckDB over the
@@ -160,6 +160,22 @@ class XFrameSpec extends SparkSpec {
       Oracle.assertEquivalent(got,
         "SELECT COALESCE(workclass, 'Unknown') AS workclass, COUNT(*) AS n FROM census GROUP BY COALESCE(workclass, 'Unknown')",
         "census" -> cen)
+    }
+  }
+
+  test("agg outputs named twice or after a key, and a fillna value of another type, fail when built") {
+    withEngine { e =>
+      val f = XFrame.source(e, "t", SynthData.uniformKeys(spark, 100, 10))
+      val (errs, probe) = JobProbe(spark.sparkContext)(Seq(
+        intercept[IllegalArgumentException](f.groupby("k").agg(SumAgg("v", "s"), MeanAgg("v", "s"))),
+        intercept[IllegalArgumentException](f.groupby("k").agg(SumAgg("v", "k"))),
+        intercept[IllegalArgumentException](f.fillna(true, "v")),
+      ).map(_.getMessage))
+      assert(probe.jobs == 0, s"${probe.jobs} Spark jobs ran")
+      errs.zip(Seq("output twice: s", "groupby key: k", "value true")).foreach { case (err, want) =>
+        assert(err.contains(want), err)
+      }
+      Seq[Any](0.5, 1L, 1, "x").foreach(v => f.fillna(v, "v"))
     }
   }
 

@@ -75,8 +75,8 @@ class ColoringSpec extends AnyFunSuite {
   }
 
   test("map fan-out: source with several same-colored consumers keeps them together") {
-    // source 1 feeds buckets 2, 3, 4 (all inherit 1's color; no external
-    // consumers) — models map + bucket fusion in the shuffle path.
+    // source 1 feeds 2, 3, 4 (all inherit 1's color; no external
+    // consumers) — models a one-chunk shuffle: a map read by every reducer.
     val g = Map(1 -> Seq.empty[Int], 2 -> Seq(1), 3 -> Seq(1), 4 -> Seq(1))
     val (nodes, p, s) = graph(g)
     val groups = Coloring.fuse(nodes, p, s).map(_.toSet)
