@@ -10,12 +10,12 @@ import repro.core.{Engine, EngineConfig}
   * All variants share the same chunk-task machinery — only planning
   * differs — so timing comparisons isolate the paper's contributions:
   * dynamic tiling and graph-level fusion. Operator-level fusion is
-  * Catalyst's, on every variant (see `NarrowStep`); its ablation arm is a
-  * Spark setting, not an engine variant.
+  * Catalyst's, on every variant (see `TileableOp.NarrowOp`); its ablation
+  * arm is a Spark setting, not an engine variant.
   */
 object Engines {
 
-  /** Full engine (dynamic tiling + graph fusion + combine). */
+  /** Full engine (dynamic tiling + graph fusion). */
   def xorbits(spark: SparkSession, chunkLimit: Long = 8L << 20): Engine =
     new Engine(spark, EngineConfig(chunkSizeLimit = chunkLimit,
       treeReduceThreshold = chunkLimit, broadcastThreshold = chunkLimit / 2))

@@ -19,7 +19,7 @@ import org.apache.spark.sql.DataFrame
   * @param compute pure Catalyst fragment: input chunk DataFrames →
   *                output chunk DataFrame (lazy; materialization happens
   *                only through the storage service)
-  * @param narrow  the task applies one narrow step to its one input
+  * @param narrow  the task applies one narrow operator to its one input
   *                (`EngineStats.narrowStepsFused` counts those a subtask
   *                runs inside a consumer's plan)
   * @param ordered the chunk's one stored partition holds its rows in the

@@ -13,8 +13,9 @@ package repro.core
   *    storage service (no subtask fusion) — the "g off" arm.
   *
   * Operator-level fusion has no flag: Catalyst collapses and compiles the
-  * narrow steps of a subtask's composed plan (see `NarrowStep`). The
-  * "o off" arm is Spark's `spark.sql.codegen.wholeStage = false`.
+  * narrow operators of a subtask's composed plan (see
+  * `TileableOp.NarrowOp`). The "o off" arm is Spark's
+  * `spark.sql.codegen.wholeStage = false`.
   */
 final case class EngineConfig(
     /** Upper bound for one chunk's estimated bytes (paper's chunk size limit). */

@@ -31,7 +31,7 @@ final class EngineStats {
   var chunksMaterialized: Long = 0
   var bytesMaterialized: Long = 0
   /** Narrow tasks a subtask ran inside a consumer's plan, without storing
-    * their output: the steps left to Catalyst's operator-level fusion.
+    * their output: the operators left to Catalyst's operator-level fusion.
     * Always 0 with graph fusion off, where every task is its own subtask.
     */
   var narrowStepsFused: Long = 0

@@ -10,60 +10,41 @@ import org.apache.spark.sql.{DataFrame, RelationalGroupedDataset}
   * a row's position within a chunk is its position in the chunk's one
   * partition), possibly pausing for execution (dynamic tiling, §IV).
   */
-sealed trait TileableOp {
-  /** Short operator name used in labels, stats and profiles. */
-  def name: String
-}
+sealed trait TileableOp
 
 object TileableOp {
   /** A named input table (the ReadParquet analog). */
-  final case class SourceOp(sourceName: String, df: DataFrame) extends TileableOp {
-    def name = s"Read($sourceName)"
-  }
+  final case class SourceOp(sourceName: String, df: DataFrame) extends TileableOp
 
-  /** One narrow chunk-local step: filter / project / assign / …. */
-  final case class NarrowOp(step: NarrowStep, label: String) extends TileableOp {
-    def name = label
-  }
+  /** A narrow (chunk-local) operator: `f` maps each chunk to its output
+    * chunk. Catalyst fuses the `f`s a subtask composes (§V-A operator-level
+    * fusion; see `Engine.runSubtask`).
+    */
+  final case class NarrowOp(label: String, f: DataFrame => DataFrame) extends TileableOp
 
   /** groupby(keys).agg(specs) — the GroupbyAgg operator. */
-  final case class GroupAggOp(keys: Seq[String], aggs: Seq[AggSpec]) extends TileableOp {
-    def name = s"GroupbyAgg(${keys.mkString(",")})"
-  }
+  final case class GroupAggOp(keys: Seq[String], aggs: Seq[AggSpec]) extends TileableOp
 
   /** pandas merge. `how` ∈ inner, left, leftsemi, leftanti, cross. */
-  final case class MergeOp(on: Seq[String], how: String) extends TileableOp {
-    def name = s"Merge(${on.mkString(",")}:$how)"
-  }
+  final case class MergeOp(on: Seq[String], how: String) extends TileableOp
 
-  /** Positional row slice [start, start+count) (pandas iloc). */
-  final case class ILocOp(start: Long, count: Long) extends TileableOp {
-    def name = s"ILoc($start,$count)"
-  }
-
-  /** First n rows (pandas head). */
-  final case class HeadOp(nRows: Long) extends TileableOp { def name = s"Head($nRows)" }
+  /** Positional row slice [start, start+count) (pandas iloc and head). */
+  final case class ILocOp(start: Long, count: Long) extends TileableOp
 
   /** Global sort by columns (pandas sort_values). */
-  final case class SortOp(by: Seq[String], ascending: Seq[Boolean]) extends TileableOp {
-    def name = s"Sort(${by.mkString(",")})"
-  }
+  final case class SortOp(by: Seq[String], ascending: Seq[Boolean]) extends TileableOp
 
   /** Drop duplicate rows by subset (empty = all user columns). */
-  final case class DistinctOp(subset: Seq[String]) extends TileableOp {
-    def name = s"Distinct(${subset.mkString(",")})"
-  }
+  final case class DistinctOp(subset: Seq[String]) extends TileableOp
 
   /** Row-wise concatenation of the inputs (pandas concat, ignore_index). */
-  final case class ConcatOp() extends TileableOp { def name = "Concat" }
+  final case class ConcatOp() extends TileableOp
 
   /** Pivot table: one output chunk built from all input chunks
     * (non-relational reshape; paper §II-A).
     */
   final case class PivotOp(index: String, columns: String, values: String, aggfunc: String)
       extends TileableOp {
-    def name = s"Pivot($index,$columns,$values)"
-
     /** `aggfunc` over the pivoted groups; an unknown name fails here, when
       * the operator is built.
       */
@@ -81,5 +62,5 @@ object TileableOp {
 
 /** A node of the tileable graph: operator + upstream tileables. */
 final class Tileable(val op: TileableOp, val inputs: Vector[Tileable]) {
-  override def toString: String = s"Tileable(${op.name})"
+  override def toString: String = s"Tileable($op)"
 }

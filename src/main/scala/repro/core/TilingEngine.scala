@@ -47,9 +47,9 @@ final class UnorderedLineageException(message: String) extends IllegalArgumentEx
   * inside a chunk, whatever `spark.sql.shuffle.partitions` says. Stored
   * chunks and sources are leaves that declare `SinglePartition`
   * (`CachedLeaf`), and a disk-tier spill keeps it. `Engine.concat` and
-  * `StorageService.put` coalesce (without a shuffle) to one partition:
-  * the places where more partitions, or an unknown partitioning, can
-  * appear. Joins take the same care (see `tileMerge`).
+  * a put's `CachedLeaf.fill` coalesce (without a shuffle) to one
+  * partition: the places where more partitions, or an unknown
+  * partitioning, can appear. Joins take the same care (see `tileMerge`).
   */
 final class Engine(val spark: SparkSession, val config: EngineConfig) {
   import Engine.{bucket, concat, rowRange, SubtaskRun}
@@ -122,7 +122,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     case g: GroupAggOp => tileGroupAgg(g, ins.head)
     case m: MergeOp    => tileMerge(m, ins(0), ins(1))
     case i: ILocOp     => tileILoc(i, ins.head)
-    case h: HeadOp     => tileILoc(ILocOp(0, h.nRows), ins.head)
     case s: SortOp     => tileSort(s, ins.head)
     case d: DistinctOp => tileDistinct(d, ins.head)
     case _: ConcatOp   => Tiled(ins.flatten)
@@ -243,7 +242,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
   private def tileNarrow(nop: NarrowOp, ins: Vector[ChunkTask]): TileResult =
     Tiled(ins.zipWithIndex.map { case (c, r) =>
-      task(s"${nop.label}[$r]", Vector(c), dfs => nop.step(dfs.head), narrow = true, ordered = c.ordered)
+      task(s"${nop.label}[$r]", Vector(c), dfs => nop.f(dfs.head), narrow = true, ordered = c.ordered)
     })
 
   // -- GroupbyAgg and Distinct: map → (combine)* or → shuffle ------------

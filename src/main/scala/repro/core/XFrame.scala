@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import scala.collection.immutable.ListMap
 
-import repro.core.NarrowStep._
+import org.apache.spark.sql.{Column, DataFrame, DataFrameNaFunctions}
+import org.apache.spark.sql.functions.col
+
 import repro.core.TileableOp._
 
 /** The user-facing distributed dataframe: a drop-in-style, pandas-like
@@ -17,39 +19,50 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
   private def derive(op: TileableOp, ins: Vector[Tileable]): XFrame =
     new XFrame(engine, new Tileable(op, ins))
 
-  private def narrow(label: String, step: NarrowStep): XFrame =
-    derive(NarrowOp(step, label), Vector(tileable))
-
   /** Boolean-mask row filter: `df[df["col"] < 1]`. */
-  def filter(cond: Column): XFrame = narrow("Filter", FilterStep(cond))
+  def filter(cond: Column): XFrame = mapChunks("Filter")(_.filter(cond))
 
   /** Column projection: `df[["a","b"]]`. */
-  def select(cols: String*): XFrame = narrow("Select", SelectStep(cols))
+  def select(cols: String*): XFrame = mapChunks("Select")(_.select(cols.map(col): _*))
 
   /** Add or replace a column: `df.assign(...)` / `df["c"] = …`. */
-  def withColumn(name: String, c: Column): XFrame =
-    narrow("WithColumn", WithColsStep(Seq(name -> c)))
+  def withColumn(name: String, c: Column): XFrame = mapChunks("WithColumn")(_.withColumn(name, c))
 
-  /** Add or replace several columns at once. */
+  /** Add or replace several columns as one projection: every expression
+    * resolves against this frame, not against the earlier entries.
+    */
   def withColumns(cols: (String, Column)*): XFrame =
-    narrow("WithColumns", WithColsStep(cols))
+    // Spark's `withColumns(Map)` projects the map's entries in its
+    // iteration order, which a `ListMap` keeps.
+    mapChunks("WithColumns")(_.withColumns(ListMap(cols: _*)))
 
-  def drop(cols: String*): XFrame = narrow("Drop", DropStep(cols))
+  /** Drop columns (ignores missing ones). */
+  def drop(cols: String*): XFrame = mapChunks("Drop")(_.drop(cols: _*))
 
-  def rename(mapping: (String, String)*): XFrame = narrow("Rename", RenameStep(mapping.toMap))
+  def rename(mapping: (String, String)*): XFrame = mapChunks("Rename")(_.withColumnsRenamed(mapping.toMap))
 
   /** pandas fillna over the given columns (all columns if empty), with a
     * Double, Long, Int or String value.
     */
-  def fillna(value: Any, cols: String*): XFrame = narrow("FillNa", FillNaStep(value, cols))
+  def fillna(value: Any, cols: String*): XFrame = {
+    val fill: (DataFrameNaFunctions, Seq[String]) => DataFrame = value match {
+      case d: Double => _.fill(d, _)
+      case l: Long   => _.fill(l, _)
+      case i: Int    => _.fill(i.toLong, _)
+      case s: String => _.fill(s, _)
+      case _ => throw new IllegalArgumentException(s"fillna value $value is not a Double, Long, Int or String")
+    }
+    mapChunks("FillNa")(df => fill(df.na, if (cols.isEmpty) df.columns.toSeq else cols))
+  }
 
-  /** Escape hatch: arbitrary chunk-local transformation. Like the other
-    * narrow steps, it keeps its chunk's positions: `iloc` and `head` read
-    * `f`'s output rows in the order it emits them, so `f` should keep the
-    * row order of its input (projections, filters and column maps do).
+  /** A narrow operator: `f` applied to each chunk on its own (every
+    * method above is one). It keeps its chunk's positions: `iloc` and
+    * `head` read `f`'s output rows in the order it emits them, so `f`
+    * should keep the row order of its input (projections, filters and
+    * column maps do).
     */
   def mapChunks(label: String)(f: DataFrame => DataFrame): XFrame =
-    narrow(label, FnStep(label, f))
+    derive(NarrowOp(label, f), Vector(tileable))
 
   def groupby(keys: String*): XGroupBy = new XGroupBy(this, keys)
 
@@ -91,11 +104,13 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
   /** First `n` rows (pandas `df.head(n)`, for `n` ≥ 0). */
   def head(n: Long): XFrame = {
     require(n >= 0, s"head($n): a negative row count is not supported")
-    derive(HeadOp(n), Vector(tileable))
+    derive(ILocOp(0, n), Vector(tileable))
   }
 
   def sortValues(by: Seq[String], ascending: Seq[Boolean]): XFrame = {
-    require(by.size == ascending.size)
+    require(by.size == ascending.size,
+      s"sortValues needs one `ascending` flag per `by` column: by = ${by.mkString("[", ", ", "]")}, " +
+        s"ascending = ${ascending.mkString("[", ", ", "]")}")
     derive(SortOp(by, ascending), Vector(tileable))
   }
   def sortValues(by: String*): XFrame = sortValues(by, Seq.fill(by.size)(true))
@@ -105,7 +120,7 @@ final class XFrame private[repro] (val engine: Engine, val tileable: Tileable) {
 
   /** pandas concat along rows (ignore_index). */
   def concat(other: XFrame): XFrame = {
-    require(other.engine eq engine)
+    require(other.engine eq engine, "cannot concat frames from different engines")
     derive(ConcatOp(), Vector(tileable, other.tileable))
   }
 

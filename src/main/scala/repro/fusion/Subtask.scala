@@ -54,7 +54,10 @@ object SubtaskGraph {
     Dag.levels(subtasks.map(_.id), preds(subtasks)).map(_.map(byId))
   }
 
-  /** Topological order of subtasks (inputs first). */
+  /** Topological order of subtasks (inputs first). The engine needs no
+    * such sort, since `build` already returns this order; its one caller
+    * is perfbench's `Planner`.
+    */
   def topoOrder(subtasks: Vector[Subtask]): Vector[Subtask] = {
     val byId = subtasks.map(st => st.id -> st).toMap
     Dag.topoSort(subtasks.map(_.id), preds(subtasks)).map(byId)

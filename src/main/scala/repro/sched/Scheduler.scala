@@ -1,13 +1,11 @@
 package repro.sched
 
-/** A band: the basic unit of subtask scheduling and execution
-  * (paper §V-B) — a (worker, NUMA-slot) pair. Bands are numbered
-  * worker-major: band id = worker * bandsPerWorker + slot, so filling
-  * band ids in order fills one worker's bands before the next worker's.
-  */
-final case class Band(worker: Int, slot: Int)
-
 /** Breadth-first + locality-aware subtask scheduler (paper §V-B).
+  *
+  * A band is the basic unit of subtask scheduling and execution: a
+  * (worker, NUMA-slot) pair. Bands are numbered worker-major: band id =
+  * worker * bandsPerWorker + slot, so filling band ids in order fills one
+  * worker's bands before the next worker's.
   *
   * Initial subtasks (no predecessors, no stored inputs) are assigned
   * breadth-first over bands in worker-major order. Non-initial subtasks
@@ -16,8 +14,6 @@ final case class Band(worker: Int, slot: Int)
   */
 final class Scheduler(val workers: Int, val bandsPerWorker: Int) {
   val numBands: Int = workers * bandsPerWorker
-
-  def band(id: Int): Band = Band(id / bandsPerWorker, id % bandsPerWorker)
 
   /** Assign a band to every subtask id.
     *

@@ -41,13 +41,13 @@ final case class StorageStats(
 /** Intermediate-result storage service (paper §V-C).
   *
   * Holds the chunks produced by all operators, keyed by a unique id.
-  * Every worker reads and writes via `put`/`get` without knowing where
-  * the data actually lives or how it was made: a stored chunk is a leaf
-  * over its blocks (`CachedLeaf`), so plans built on it do not carry its
-  * lineage. Both tiers are Spark's block manager: the memory tier is a
-  * columnar cache named after the chunk's key, the disk tier a disk-only
-  * local checkpoint. When the memory tier exceeds its budget,
-  * least-recently-used chunks are spilled.
+  * Every worker writes via `putFill`/`putRegister` and reads via `get`
+  * without knowing where the data actually lives or how it was made: a
+  * stored chunk is a leaf over its blocks (`CachedLeaf`), so plans built
+  * on it do not carry its lineage. Both tiers are Spark's block manager:
+  * the memory tier is a columnar cache named after the chunk's key, the
+  * disk tier a disk-only local checkpoint. When the memory tier exceeds
+  * its budget, least-recently-used chunks are spilled.
   *
   * A put whose plan is deterministic and has the same result and schema
   * (column names included) as a stored chunk's shares that chunk: the new
@@ -71,19 +71,11 @@ final class StorageService(memoryBudget: Long) {
   private var peakMem = 0L
   private var putsN, getsN, localN, remoteN, spillsN, spilledB = 0L
 
-  /** Materialize `df` as chunk `key` on `band`; returns observed metadata.
-    * The chunk is stored as one partition, which also covers plans built
-    * from RDDs, and materializing it is one Spark job.
-    */
-  def put(key: String, df: DataFrame, band: Int): ChunkMeta = {
-    require(!contains(key), s"chunk $key already stored")
-    putRegister(key, putFill(key, df), band)
-  }
-
   /** The Spark half of a put of `df` as `key`: share a registered chunk
     * with the same result, or fill a cache named `key` in one Spark job.
-    * Runs outside the service's lock, so that several bands can fill
-    * chunks at once. Nothing is registered: `putRegister` stores the
+    * The chunk is stored as one partition, which also covers plans built
+    * from RDDs. Runs outside the service's lock, so that several bands can
+    * fill chunks at once. Nothing is registered: `putRegister` stores the
     * chunk, or `discard` drops it.
     */
   def putFill(key: String, df: DataFrame): Filled = {
@@ -155,6 +147,10 @@ final class StorageService(memoryBudget: Long) {
   def contains(key: String): Boolean = synchronized(entries.contains(key))
   def meta(key: String): Option[ChunkMeta] = synchronized(entries.get(key).map(_.meta))
   def bandOf(key: String): Option[Int] = synchronized(entries.get(key).map(_.band))
+  /** The tier chunk `key` is in. No engine path needs it; it stays as the
+    * only way to see which tier one chunk is in, which the spill tests
+    * check.
+    */
   def tierOf(key: String): Option[Tier] = synchronized(entries.get(key).map(_.tier))
 
   /** Drop key `key`, and its chunk from all tiers if no other key shares

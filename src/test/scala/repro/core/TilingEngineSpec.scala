@@ -835,15 +835,40 @@ class TilingEngineSpec extends SparkSpec {
     }
   }
 
-  /** Runs `program` with graph fusion on and off, and compares each result
-    * with `program` on plain Spark. Only with graph fusion on does a
-    * subtask run narrow steps inside their consumers' plan, so these are
-    * also the arms with and without operator-level fusion.
+  /** Runs `program` on `Engines.xorbits` and `Engines.noGraphFusion` at a
+    * 64 KiB chunk limit, and compares each result with `program` on plain
+    * Spark. Only with graph fusion on does a subtask run narrow operators
+    * inside their consumers' plan, so these are also the arms with and
+    * without operator-level fusion.
     */
   private def onBothFusionArms(program: String, src: DataFrame)(xf: XFrame => XFrame, want: DataFrame => DataFrame): Unit =
-    for (graphFusion <- Seq(true, false)) withEngine(cfg(graphFusion = graphFusion)) { e =>
-      withClue(s"$program, graphFusion=$graphFusion: ")(assertLikeSpark(xf(XFrame.source(e, "t", src)).toDF(), want(src)))
+    for ((arm, mk) <- Seq[(String, () => Engine)](
+        "xorbits" -> (() => Engines.xorbits(spark, 64 << 10)),
+        "noGraphFusion" -> (() => Engines.noGraphFusion(spark, 64 << 10)))) {
+      val e = mk()
+      try withClue(s"$program, $arm: ")(assertLikeSpark(xf(XFrame.source(e, "t", src)).toDF(), want(src)))
+      finally e.reset()
     }
+
+  /** 5,000 keyed rows with two nullable columns, `a` (long) and `b`
+    * (double): three chunks at a 64 KiB limit.
+    */
+  private def withNulls = keys(5000).select(col("k"), col("v"),
+    when(col("k") % 2 === 0, col("k")) as "a", when(col("k") % 3 === 0, col("v")) as "b")
+
+  test("fillna on named columns, on all columns and with a Double matches Spark on both operator-fusion arms") {
+    val src = withNulls
+    assert(src.filter(col("a").isNull).count() > 0 && src.filter(col("b").isNull).count() > 0)
+    onBothFusionArms("fillna of a", src)(_.fillna(-1L, "a"), _.na.fill(-1L, Seq("a")))
+    onBothFusionArms("fillna of every column", src)(_.fillna(-1L), _.na.fill(-1L))
+    onBothFusionArms("fillna of b with a Double", src)(_.fillna(0.5, "b"), _.na.fill(0.5, Seq("b")))
+  }
+
+  test("mapChunks matches Spark on both operator-fusion arms") {
+    onBothFusionArms("mapChunks", withNulls)(
+      _.mapChunks("double")(_.withColumn("dd", col("k") * 2)),
+      _.withColumn("dd", col("k") * 2))
+  }
 
   test("column steps keep Spark's column order on both operator-fusion arms") {
     val src = keys(2000)

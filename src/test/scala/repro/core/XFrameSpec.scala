@@ -179,6 +179,23 @@ class XFrameSpec extends SparkSpec {
     }
   }
 
+  test("sortValues with one flag too few, and concat across engines, fail when built, naming the misuse") {
+    withEngine { e =>
+      withEngine { other =>
+        val src = SynthData.uniformKeys(spark, 100, 10)
+        val f = XFrame.source(e, "t", src)
+        val g = XFrame.source(other, "t", src)
+        val (errs, probe) = JobProbe(spark.sparkContext)(Seq(
+          intercept[IllegalArgumentException](f.sortValues(Seq("k", "v"), Seq(true))),
+          intercept[IllegalArgumentException](f.concat(g)),
+        ).map(_.getMessage))
+        assert(probe.jobs == 0, s"${probe.jobs} Spark jobs ran")
+        errs.zip(Seq("by = [k, v], ascending = [true]", "cannot concat frames from different engines"))
+          .foreach { case (err, want) => assert(err.contains(want), err) }
+      }
+    }
+  }
+
   test("nunique per group vs DuckDB") {
     withEngine { e =>
       val li = SynthData.lineitem(spark, sf)

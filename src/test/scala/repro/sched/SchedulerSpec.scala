@@ -4,14 +4,6 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class SchedulerSpec extends AnyFunSuite {
 
-  test("band numbering is worker-major") {
-    val s = new Scheduler(workers = 2, bandsPerWorker = 2)
-    assert(s.band(0) == Band(0, 0))
-    assert(s.band(1) == Band(0, 1))
-    assert(s.band(2) == Band(1, 0))
-    assert(s.band(3) == Band(1, 1))
-  }
-
   test("breadth-first: initial subtasks fill worker 0's bands before worker 1's") {
     val s = new Scheduler(2, 2)
     val a = s.assign(Seq(10L, 11L, 12L, 13L), _ => true, _ => Seq.empty)
